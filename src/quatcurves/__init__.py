@@ -51,6 +51,7 @@ from .shimura import (
     finiteness_sweep,
     fixed_point_count,
     genus,
+    iter_ramsets,
     minimal_place_outside,
     odd_parity,
     supersingular_lower_bound,
@@ -87,6 +88,7 @@ __all__ = [
     "is_prime",
     "is_squarefree",
     "iter_monic_irreducibles",
+    "iter_ramsets",
     "jacobian_order",
     "l_polynomial",
     "make_field",

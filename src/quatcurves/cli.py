@@ -3,35 +3,36 @@
 Three commands: `classify` one set of places, `search` the candidate space for
 a field, and `table` the invariants of all instances with given degrees.
 Output is text, JSON, or CSV; class numbers can be cached in a plain-text
-file.  Exit codes: 0 success, 2 validation error, 3 enumeration bound hit.
+file.  Exit codes: 0 success, 2 validation error, 3 enumeration bound hit,
+4 internal inconsistency (such as a class-number cache that contradicts the
+theory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
-import itertools
 import json
 import sys
 
 from .curves import ClassNumberCache
 from .gf import BoundExceededError, ExtensionField, FiniteField, make_field
-from .polyring import Place, monic_irreducibles, parse_poly
+from .polyring import Place, parse_poly
 from .shimura import (
     RamSet,
     _checked_kappa,
     candidate_degree_multisets,
     classify,
-    classify_all,
     finiteness_sweep,
     fixed_point_count,
+    iter_ramsets,
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BOUND = 3
+EXIT_INCONSISTENT = 4
 
 TABLE_COLUMNS = ["q", "f_x", "f_y", "g", "fix_x", "fix_y", "fix_xy", "verdict"]
 
@@ -133,8 +134,13 @@ def _print_report_text(report, out) -> None:
     print(verdict, file=out)
 
 
-def _report_csv_row(report) -> list:
-    fix = report.fix_table()
+def _csv_row(report, ramset, kappa, cache) -> list:
+    """One TABLE_COLUMNS row of a two-place report.  The fixed-point columns
+    are filled even when classify short-circuited on low genus."""
+    fix = report.fix_table() or {
+        tuple(str(pl) for pl in key.places): fixed_point_count(ramset, key, kappa, cache)
+        for key in ramset.keys()
+    }
     x, y = report.places
     return [
         report.q,
@@ -176,21 +182,10 @@ def cmd_classify(args) -> int:
     elif args.format == "csv":
         if len(report.places) != 2:
             raise CommandError("csv output is defined for two-place sets")
-        _emit_csv([_report_csv_row(_with_fix_columns(report, ramset, kappa, cache))], out)
+        _emit_csv([_csv_row(report, ramset, kappa, cache)], out)
     else:
         _print_report_text(report, out)
     return EXIT_OK
-
-
-def _with_fix_columns(report, ramset, kappa, cache):
-    """Fill fixed-point data even when classify short-circuited on low genus."""
-    if report.fixed_points or len(ramset.places) != 2:
-        return report
-    fixed = tuple(
-        (tuple(str(pl) for pl in key.places), fixed_point_count(ramset, key, kappa, cache))
-        for key in ramset.keys()
-    )
-    return dataclasses.replace(report, fixed_points=fixed)
 
 
 def cmd_search(args) -> int:
@@ -217,7 +212,8 @@ def cmd_search(args) -> int:
     kappa = _parse_kappa(field, args.kappa)
     cache = _open_cache(args.cache)
     candidates = [m for m in candidate_degree_multisets(field) if m[1] <= args.max_degree]
-    reports = classify_all(field, max_degree=args.max_degree, kappa=kappa, cache=cache)
+    ramsets = [r for d1, d2 in candidates for r in iter_ramsets(field, d1, d2)]
+    reports = [classify(r, kappa=kappa, cache=cache) for r in ramsets]
     _save_cache(cache, args.cache)
     if args.format == "json":
         payload = {
@@ -228,10 +224,7 @@ def cmd_search(args) -> int:
         }
         print(json.dumps(payload, indent=2), file=out)
     elif args.format == "csv":
-        rows = []
-        for report in reports:
-            ramset = RamSet(_parse_places(field, ",".join(report.places)))
-            rows.append(_report_csv_row(_with_fix_columns(report, ramset, kappa, cache)))
+        rows = [_csv_row(report, r, kappa, cache) for r, report in zip(ramsets, reports)]
         _emit_csv(rows, out)
     else:
         print(f"candidate degree multisets over {_field_summary(field)}:", file=out)
@@ -255,20 +248,12 @@ def cmd_table(args) -> int:
         raise CommandError(f"cannot parse --degrees {args.degrees!r}") from None
     if len(degrees) != 2 or min(degrees) < 1:
         raise CommandError("--degrees takes exactly two positive integers")
-    d1, d2 = sorted(degrees)
     kappa = _parse_kappa(field, args.kappa)
     cache = _open_cache(args.cache)
-    by_degree = {d: monic_irreducibles(d, field) for d in {d1, d2}}
-    pairs = (
-        itertools.combinations(by_degree[d1], 2)
-        if d1 == d2
-        else itertools.product(by_degree[d1], by_degree[d2])
-    )
-    rows = []
-    for pair in pairs:
-        ramset = RamSet(tuple(pair))
-        report = classify(ramset, kappa=kappa, cache=cache)
-        rows.append(_report_csv_row(_with_fix_columns(report, ramset, kappa, cache)))
+    rows = [
+        _csv_row(classify(r, kappa=kappa, cache=cache), r, kappa, cache)
+        for r in iter_ramsets(field, *degrees)
+    ]
     _save_cache(cache, args.cache)
     out = sys.stdout
     if args.format == "json":
@@ -339,6 +324,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -246,34 +246,10 @@ class ExtensionField(FiniteField):
         return idx
 
     def element_str(self, a) -> str:
-        parts = []
-        for i in range(self.m - 1, -1, -1):
-            c = a[i]
-            if c == self.base.zero:
-                continue
-            cs = self.base.element_str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                var = "u" if i == 1 else f"u^{i}"
-                parts.append(var if c == self.base.one else f"{cs}{var}")
-        return "+".join(parts) if parts else "0"
+        return _poly_text(self.base, a, "u")
 
     def modulus_str(self) -> str:
-        parts = []
-        for i in range(self.m, -1, -1):
-            c = self.modulus[i]
-            if c == self.base.zero:
-                continue
-            cs = self.base.element_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                var = "u" if i == 1 else f"u^{i}"
-                parts.append(var if c == self.base.one else f"{cs}{var}")
-        return "+".join(parts)
+        return _poly_text(self.base, self.modulus, "u")
 
     _TERM_RE = re.compile(r"^(?:(?P<coef>\d+)\*?)?(?P<var>u(?:\^(?P<exp>\d+))?)?$")
 
@@ -326,6 +302,29 @@ class ExtensionField(FiniteField):
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+def _poly_text(field: FiniteField, coeffs, var: str) -> str:
+    """Text of sum coeffs[i] var^i over field, highest term first: '2T^2+T+1'.
+
+    Unit coefficients are left out, composite ones are parenthesized
+    ('(u+1)T'), and the zero sequence prints as '0'.  Shared by polynomials
+    (var 'T'), extension elements and moduli (var 'u').
+    """
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == field.zero:
+            continue
+        cs = field.element_str(c)
+        if "+" in cs:
+            cs = f"({cs})"
+        if i == 0:
+            parts.append(cs)
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            parts.append(power if c == field.one else f"{cs}{power}")
+    return "+".join(parts) if parts else "0"
 
 
 def _split_signed_terms(text: str):

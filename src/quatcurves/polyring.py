@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField, _split_signed_terms
+from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField, _poly_text, _split_signed_terms
 
 
 class Poly:
@@ -190,18 +190,6 @@ class Poly:
             acc = f.add(f.mul(acc, t), c)
         return acc
 
-    def eval_in(self, ext: FiniteField, t):
-        """Evaluate at an element of an extension built over this field;
-        coefficients embed as constants."""
-        if ext == self.field:
-            return self(t)
-        if getattr(ext, "base", None) != self.field:
-            raise ValueError("evaluation field must extend the coefficient field")
-        acc = ext.zero
-        for c in reversed(self.coeffs):
-            acc = ext.add(ext.mul(acc, t), ext.embed(c))
-        return acc
-
     # -- comparisons, hashing, text ------------------------------------
 
     def _check_same_field(self, other):
@@ -223,23 +211,7 @@ class Poly:
         return (self.degree, self.index()) < (other.degree, other.index())
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        f = self.field
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == f.zero:
-                continue
-            cs = f.element_str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                var = "T" if i == 1 else f"T^{i}"
-                parts.append(var if c == f.one else f"{cs}{var}")
-        return "+".join(parts)
+        return _poly_text(self.field, self.coeffs, "T")
 
     def __repr__(self):
         return f"Poly({self.field!r}, {str(self)!r})"

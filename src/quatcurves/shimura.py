@@ -61,10 +61,8 @@ class RamSet:
         return tuple(pl.degree for pl in self.places)
 
     def discriminant(self) -> Poly:
-        prod = Poly.one(self.field)
-        for pl in self.places:
-            prod = prod * pl.generator
-        return prod
+        """Product of all place generators: the generator of the full key."""
+        return InvolutionKey(self.places).generator()
 
     def keys(self) -> list[InvolutionKey]:
         """All nonempty divisor keys, subset-mask order over the sorted places."""
@@ -449,6 +447,18 @@ def classify(
     return report(fixed, VERDICT_UNDETERMINED, REASON_INCONCLUSIVE, g=g)
 
 
+def iter_ramsets(field: FiniteField, d1: int, d2: int):
+    """Every two-place set whose place degrees are {d1, d2}, lazily, in
+    canonical order: by the lower-degree place, then by the other one."""
+    d1, d2 = sorted((d1, d2))
+    if d1 == d2:
+        pairs = itertools.combinations(monic_irreducibles(d1, field), 2)
+    else:
+        pairs = itertools.product(monic_irreducibles(d1, field), monic_irreducibles(d2, field))
+    for pair in pairs:
+        yield RamSet(pair)
+
+
 def classify_all(
     field: FiniteField,
     max_degree: int | None = None,
@@ -460,16 +470,8 @@ def classify_all(
     multisets = candidate_degree_multisets(field)
     if max_degree is not None:
         multisets = [m for m in multisets if m[1] <= max_degree]
-    by_degree = {
-        d: monic_irreducibles(d, field)
-        for d in sorted({d for pair in multisets for d in pair})
-    }
-    reports = []
-    for d1, d2 in multisets:
-        if d1 == d2:
-            pairs = itertools.combinations(by_degree[d1], 2)
-        else:
-            pairs = itertools.product(by_degree[d1], by_degree[d2])
-        for pair in pairs:
-            reports.append(classify(RamSet(tuple(pair)), kappa=kappa, cache=cache))
-    return reports
+    return [
+        classify(ramset, kappa=kappa, cache=cache)
+        for d1, d2 in multisets
+        for ramset in iter_ramsets(field, d1, d2)
+    ]

@@ -26,6 +26,7 @@ from quatcurves import (
     genus,
     is_squarefree,
     iter_monic_irreducibles,
+    iter_ramsets,
     make_field,
     monic_irreducibles,
     point_count,
@@ -50,14 +51,6 @@ def check(label, condition, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {label}: {status}{suffix}")
     assert condition, f"{label}{suffix}"
-
-
-def pairs_of_degrees(field, d1, d2):
-    p1 = monic_irreducibles(d1, field)
-    p2 = monic_irreducibles(d2, field)
-    if d1 == d2:
-        return list(itertools.combinations(p1, 2))
-    return list(itertools.product(p1, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +116,7 @@ def test_criterion3b_deg12_all_instances():
     for q, field in FIELDS.items():
         full_ok = True
         singles_ok = True
-        for pair in pairs_of_degrees(field, 1, 2):
-            r = RamSet(pair)
+        for r in iter_ramsets(field, 1, 2):
             g = genus(r)
             kx, ky, kxy = r.keys()
             if fixed_point_count(r, kxy) != 2 * g + 2:
@@ -164,12 +156,11 @@ def test_criterion3d_q3_deg13_full_key_stated_value():
 
 def test_criterion4_q3_deg22_bounds_and_reason():
     f3 = FIELDS[3]
-    instances = pairs_of_degrees(f3, 2, 2)
+    instances = list(iter_ramsets(f3, 2, 2))
     assert len(instances) == 3
     bounds_ok = True
     reasons_ok = True
-    for pair in instances:
-        r = RamSet(pair)
+    for r in instances:
         kx, ky, kxy = r.keys()
         if fixed_point_count(r, kx) > 4 or fixed_point_count(r, ky) > 4:
             bounds_ok = False
@@ -326,8 +317,7 @@ def test_criterion7c_hasse_weil_on_genus_one_counts():
 def test_criterion7d_riemann_hurwitz_cross_formula():
     for q, field in FIELDS.items():
         ok = True
-        for pair in pairs_of_degrees(field, 1, 2):
-            r = RamSet(pair)
+        for r in iter_ramsets(field, 1, 2):
             if fixed_point_count(r, r.keys()[-1]) != 2 * genus(r) + 2:
                 ok = False
         check(f"criterion 7d (q={q} genus formula agrees with embedding counts)", ok)

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from quatcurves import ClassificationReport
+from quatcurves import ClassificationReport, candidate_degree_multisets, make_field
 from quatcurves.cli import main
 
 
@@ -142,6 +142,22 @@ def test_search_csv_rows(capsys):
     assert all(row[4] != "" for row in rows[1:])  # fix columns filled even at genus 0
 
 
+def test_search_csv_rows_equal_table_rows(capsys):
+    code, out, _ = run(capsys, "search", "--p", "3", "--max-degree", "3",
+                       "--format", "csv")
+    assert code == 0
+    header, *search_rows = list(csv.reader(io.StringIO(out)))
+    table_rows = []
+    for d1, d2 in candidate_degree_multisets(make_field(3)):
+        code, out, _ = run(capsys, "table", "--p", "3", "--degrees", f"{d1},{d2}",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == header
+        table_rows += rows[1:]
+    assert search_rows == table_rows
+
+
 def test_search_even_characteristic(capsys):
     code, out, _ = run(capsys, "search", "--p", "2", "--max-degree", "3")
     assert code == 0
@@ -261,6 +277,19 @@ def test_cache_reused_across_commands(tmp_path, capsys):
                          "--format", "csv")
     assert code == 0
     assert first == second == plain
+
+
+def test_inconsistent_cache_exits_with_code_4(tmp_path, capsys):
+    # class numbers of 4 make both w[T^2+1] and w[T,T^2+1] fix 2g+2 = 8
+    # points, but the canonical involution is unique
+    path = tmp_path / "poisoned.cache"
+    path.write_text("3 1 2T^2+2 4\n3 1 2T^3+2T 4\n3 1 T^3+T 4\n")
+    code, out, err = run(capsys, "classify", "--p", "3", "--places", "T,T^2+1",
+                         "--cache", str(path))
+    assert code == 4
+    assert not out
+    assert err.startswith("error: ") and "two involutions with 8 fixed points" in err
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

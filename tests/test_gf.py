@@ -275,6 +275,13 @@ def test_element_text_round_trip():
             assert field.parse_element(field.element_str(a)) == a
 
 
+def test_tower_modulus_text_parenthesizes_composite_coefficients():
+    # the modulus of F_81 over F_9 is u^2 + c with c = u+1 in F_9; printed
+    # bare, "u^2+u+1" would read as a different polynomial
+    f81 = extend_field(make_field(3, 2), 2)
+    assert f81.modulus_str() == "u^2+(u+1)"
+
+
 def test_element_parse_normalizes():
     f3 = make_field(3)
     assert f3.parse_element("5") == 2

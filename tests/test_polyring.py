@@ -19,7 +19,7 @@ from quatcurves import (
 )
 from quatcurves.polyring import iter_monic_polys
 
-from conftest import all_polys_up_to
+from conftest import all_polys_up_to, necklace_count
 
 
 def poly(field, text):
@@ -48,28 +48,6 @@ def has_square_factor(f):
             if (f % (g * g)).is_zero:
                 return True
     return False
-
-
-def mobius(n):
-    result, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def necklace_count(q, d):
-    total = 0
-    for k in range(1, d + 1):
-        if d % k == 0:
-            total += mobius(k) * q ** (d // k)
-    return total // d
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +105,6 @@ def test_gcd_normalized_monic(f3):
 
 def test_eval(f3):
     assert poly(f3, "T^3-T+1")(f3.from_int(2)) == 1
-
-
-def test_eval_in_extension(f3, f9):
-    f = poly(f3, "T^2+1")
-    u = (0, 1)
-    assert f.eval_in(f9, u) == f9.zero  # u^2 = -1
 
 
 def test_divmod_identity_and_zero_division(f3):

@@ -18,6 +18,7 @@ from quatcurves import (
     fixed_point_count,
     genus,
     iter_monic_irreducibles,
+    iter_ramsets,
     make_field,
     minimal_place_outside,
     monic_irreducibles,
@@ -33,7 +34,7 @@ from quatcurves.shimura import (
     VERDICT_NOT_HYPERELLIPTIC,
 )
 
-from conftest import place, poly
+from conftest import necklace_count, place, poly
 
 
 def ramset(field, *texts):
@@ -254,15 +255,7 @@ def test_fixed_points_satisfy_involution_parity():
     for p, e in ((3, 1), (5, 1)):
         field = make_field(p, e)
         for d1, d2 in candidate_degree_multisets(field):
-            pls1 = monic_irreducibles(d1, field)
-            pls2 = monic_irreducibles(d2, field)
-            pairs = (
-                itertools.combinations(pls1, 2)
-                if d1 == d2
-                else itertools.product(pls1, pls2)
-            )
-            for pair in pairs:
-                r = RamSet(tuple(pair))
+            for r in iter_ramsets(field, d1, d2):
                 g = genus(r)
                 for key in r.keys():
                     n = fixed_point_count(r, key)
@@ -368,6 +361,30 @@ def test_classify_all_q5(f5):
     hyper = [r for r in reports if r.verdict == VERDICT_HYPERELLIPTIC]
     assert len(hyper) == 50
     assert all(r.degrees == (1, 2) and r.genus == 5 for r in hyper)
+
+
+def test_iter_ramsets_counts_match_necklace_formula():
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        field = make_field(p, e)
+        q = field.q
+        for d1 in (1, 2, 3):
+            for d2 in range(d1, 4):
+                sets = list(iter_ramsets(field, d1, d2))
+                n1, n2 = necklace_count(q, d1), necklace_count(q, d2)
+                expected = n1 * (n1 - 1) // 2 if d1 == d2 else n1 * n2
+                assert len(sets) == expected
+                assert all(sorted(r.degrees) == [d1, d2] for r in sets)
+
+
+def test_iter_ramsets_order_matches_classify_all():
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        field = make_field(p, e)
+        visited = [
+            tuple(str(pl) for pl in r.places)
+            for d1, d2 in candidate_degree_multisets(field)
+            for r in iter_ramsets(field, d2, d1)  # argument order does not matter
+        ]
+        assert visited == [r.places for r in classify_all(field)]
 
 
 def test_classify_all_respects_degree_cap(f3):

@@ -9,6 +9,7 @@ of the generator.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -44,6 +45,13 @@ def quadratic_order_info(a: Poly) -> QuadOrderInfo:
         raise ValueError("generator must be nonconstant")
     if not is_squarefree(a):
         raise ValueError("generator must be squarefree")
+    return _order_info(a)
+
+
+def _order_info(a: Poly) -> QuadOrderInfo:
+    """quadratic_order_info for a generator already known to be valid: odd
+    characteristic, nonconstant and squarefree."""
+    field = a.field
     if a.degree % 2 == 1:
         imaginary, infinity = True, INFINITY_RAMIFIED
     elif not field.is_square(a.leading):
@@ -68,6 +76,11 @@ def point_count(f: Poly, m: int = 1) -> int:
     info = quadratic_order_info(f)  # validates field, degree, squarefreeness
     if m < 1:
         raise ValueError("extension degree must be at least 1")
+    return _point_count(f, m, info.curve_genus)
+
+
+def _point_count(f: Poly, m: int, g: int) -> int:
+    """point_count for a valid f of model genus g and an m >= 1."""
     field = f.field
     if field.q ** m > ENUMERATION_BOUND:
         raise BoundExceededError(
@@ -94,7 +107,7 @@ def point_count(f: Poly, m: int = 1) -> int:
         n += 1
     elif coeffs[-1] in squares:
         n += 2
-    if info.curve_genus == 1 and (n - ext.q - 1) ** 2 > 4 * ext.q:
+    if g == 1 and (n - ext.q - 1) ** 2 > 4 * ext.q:
         raise ArithmeticError(
             f"genus-1 count {n} over a field of size {ext.q} violates the "
             f"Hasse-Weil bound"
@@ -110,14 +123,17 @@ def l_polynomial(f: Poly) -> list[int]:
     equation c_{2g-i} = q^(g-i) c_i fills in the top half.  Every division
     must be exact; a remainder means the counts are inconsistent and raises.
     """
-    info = quadratic_order_info(f)
-    g = info.curve_genus
+    return _l_polynomial(f, quadratic_order_info(f).curve_genus)
+
+
+def _l_polynomial(f: Poly, g: int) -> list[int]:
+    """l_polynomial for a valid f of model genus g."""
     if g == 0:
         return [1]
     q = f.field.q
     psums = [0]  # index 0 unused
     for m in range(1, g + 1):
-        psums.append(q**m + 1 - point_count(f, m))
+        psums.append(q**m + 1 - _point_count(f, m, g))
     c = [1] + [0] * (2 * g)
     for m in range(1, g + 1):
         s = psums[m] + sum(c[i] * psums[m - i] for i in range(1, m))
@@ -193,12 +209,22 @@ class ClassNumberCache:
                 self._store((int(p), int(e), a_text), int(h))
 
     def save(self, path) -> None:
+        """Write every record, atomically: a temporary file in the target's
+        directory replaces the target only once it is complete, so a failed
+        save leaves the previous file as it was."""
         lines = [
             f"{p} {e} {a_text} {h}\n"
             for (p, e, a_text), h in sorted(self._data.items())
         ]
-        with open(path, "w", encoding="ascii") as handle:
-            handle.writelines(lines)
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as handle:
+                handle.writelines(lines)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     def __len__(self) -> int:
         return len(self._data)
@@ -217,11 +243,17 @@ def class_number(a: Poly, cache: ClassNumberCache | None = None) -> int:
             f"class number rule needs an imaginary extension; F(sqrt({a})) "
             f"splits at infinity"
         )
+    return _class_number(info, cache)
+
+
+def _class_number(info: QuadOrderInfo, cache: ClassNumberCache | None) -> int:
+    """class_number for the order data of a valid imaginary generator."""
+    a = info.generator
     if cache is not None:
         known = cache.get(a)
         if known is not None:
             return known
-    h = jacobian_order(a)
+    h = sum(_l_polynomial(a, info.curve_genus))
     if a.degree % 2 == 0:
         h *= 2
     if cache is not None:

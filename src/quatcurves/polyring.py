@@ -146,10 +146,12 @@ class Poly:
             return Poly.zero(f), self
         rem = list(self.coeffs)
         db = other.degree
-        lc_inv = f.inv(other.leading)
+        lc = other.leading
+        monic = lc == f.one
+        lc_inv = lc if monic else f.inv(lc)
         quot = [f.zero] * (len(rem) - db)
         while len(rem) > db:
-            c = f.mul(rem[-1], lc_inv)
+            c = rem[-1] if monic else f.mul(rem[-1], lc_inv)
             off = len(rem) - 1 - db
             quot[off] = c
             if c != f.zero:
@@ -333,6 +335,14 @@ class Place:
         if g.degree < 1 or not g.is_monic or not is_irreducible(g):
             raise ValueError(f"place generator must be monic irreducible, got {g}")
 
+    @classmethod
+    def _from_irreducible(cls, generator: Poly) -> "Place":
+        """A place whose generator the caller has already proved monic
+        irreducible; skips the Rabin test that Place(...) runs on outside input."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "generator", generator)
+        return place
+
     @property
     def field(self) -> FiniteField:
         return self.generator.field
@@ -373,7 +383,7 @@ def iter_monic_irreducibles(d: int, field: FiniteField):
         )
     for f in iter_monic_polys(d, field):
         if is_irreducible(f):
-            yield Place(f)
+            yield Place._from_irreducible(f)
 
 
 def monic_irreducibles(d: int, field: FiniteField) -> list[Place]:
@@ -387,22 +397,42 @@ def residue_symbol(a: Poly, place: Place) -> int:
     """Quadratic symbol of a at a finite place: 0 if the place divides a, +1
     if a reduces to a nonzero square in the residue field, -1 otherwise.
 
-    Computed by the Euler criterion in the quotient ring F_q[T]/(f_x); a must
-    be squarefree (it generates the quadratic extension under test) and the
-    characteristic odd.
+    Computed in resultant form, (a/P) = chi(Res(P, a)) with chi the quadratic
+    character of F_q, which holds for monic irreducible P because the
+    resultant is the norm of a(T) mod P down to F_q (Rosen, Number Theory in
+    Function Fields, ch. 3); a must be squarefree (it generates the quadratic
+    extension under test) and the characteristic odd.
     """
     field = a.field
     if not field.odd_characteristic:
         raise ValueError("residue symbols need odd characteristic")
     if not is_squarefree(a):
         raise ValueError("residue symbol is defined for squarefree generators")
-    fx = place.generator
-    r = a % fx
-    if r.is_zero:
+    return _residue_symbol(a, place)
+
+
+def _residue_symbol(a: Poly, place: Place) -> int:
+    """residue_symbol without its guards: odd characteristic is assumed.
+
+    One Euclidean pass from (P, a mod P) down to a constant, keeping
+    Res(P, a) up to squares: Res(u, v) = (-1)^(deg u deg v) lc(v)^(deg u -
+    deg r) Res(v, r) for r = u mod v, and Res(u, c) = c^(deg u).  Only odd
+    powers of a leading coefficient change the character.
+    """
+    field = a.field
+    u, v = place.generator, a % place.generator
+    if v.is_zero:
         return 0
-    s = _pow_mod(r, (place.residue_cardinality - 1) // 2, fx)
-    if s == Poly.one(field):
-        return 1
-    if s == Poly.constant(field, field.neg(field.one)):
-        return -1
-    raise ArithmeticError(f"Euler criterion produced a non-unit for {a} at {place}")
+    res = field.one
+    while v.degree > 0:
+        r = u % v
+        if r.is_zero:
+            raise ArithmeticError(f"{v} shares a factor with the place {place}")
+        if (u.degree - r.degree) % 2:
+            res = field.mul(res, v.leading)
+        if u.degree * v.degree % 2:
+            res = field.neg(res)
+        u, v = v, r
+    if u.degree % 2:
+        res = field.mul(res, v.leading)
+    return 1 if field.is_square(res) else -1

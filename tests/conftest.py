@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from quatcurves import Place, Poly, make_field, parse_poly
+from quatcurves.polyring import _pow_mod
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,19 @@ def all_polys_up_to(field, max_degree):
             if coeffs[-1] == field.zero:
                 continue
             yield Poly(field, coeffs)
+
+
+def euler_symbol(a, place):
+    """Quadratic symbol by Euler's criterion, a^((q_x - 1)/2) mod f_x: the
+    library's former route, kept as an oracle for the resultant form."""
+    field = place.field
+    fx = place.generator
+    r = a % fx
+    if r.is_zero:
+        return 0
+    s = _pow_mod(r, (place.residue_cardinality - 1) // 2, fx)
+    if s == Poly.one(field):
+        return 1
+    if s == Poly.constant(field, field.neg(field.one)):
+        return -1
+    raise AssertionError(f"Euler criterion produced a non-unit for {a} at {place}")

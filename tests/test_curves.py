@@ -18,6 +18,7 @@ from quatcurves import (
     predicted_point_count,
     quadratic_order_info,
 )
+from quatcurves import curves
 
 from conftest import all_polys_up_to
 
@@ -218,6 +219,47 @@ def test_class_number_cache_round_trip(tmp_path, f3):
     reloaded.load(path)
     assert reloaded.get(a) == 7
     assert class_number(a, reloaded) == 7
+
+
+def test_class_number_cache_failed_save_keeps_previous_file(tmp_path, f3, monkeypatch):
+    cache = ClassNumberCache()
+    class_number(poly(f3, "T^3-T+1"), cache)
+    path = tmp_path / "h.cache"
+    cache.save(path)
+    before = path.read_bytes()
+    class_number(poly(f3, "2T^2+2"), cache)
+
+    class FailingWrite:
+        """A file whose writelines gets one line out, then fails."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+            return False
+
+        def writelines(self, lines):
+            self.handle.write(lines[0])
+            self.handle.flush()
+            raise OSError("no space left on device")
+
+    real_open = open
+    monkeypatch.setattr(
+        curves, "open", lambda *args, **kwargs: FailingWrite(real_open(*args, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(OSError):
+        cache.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+    monkeypatch.undo()
+    cache.save(path)
+    assert path.read_text() == "3 1 2T^2+2 2\n3 1 T^3+2T+1 7\n"
 
 
 def test_class_number_cache_conflict(tmp_path):

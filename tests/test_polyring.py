@@ -1,8 +1,12 @@
 """Polynomial ring operations, places, and residue symbols."""
 
+import functools
 import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quatcurves import (
     BoundExceededError,
@@ -17,9 +21,11 @@ from quatcurves import (
     poly_gcd,
     residue_symbol,
 )
-from quatcurves.polyring import iter_monic_polys
+from quatcurves import polyring
+from quatcurves.gf import _poly_list_mod
+from quatcurves.polyring import _residue_symbol, iter_monic_polys
 
-from conftest import all_polys_up_to, necklace_count
+from conftest import all_polys_up_to, euler_symbol, necklace_count
 
 
 def poly(field, text):
@@ -124,6 +130,31 @@ def test_divmod_reconstruction(f3):
             assert r.is_zero or r.degree < b.degree
 
 
+@pytest.mark.parametrize("p, e", [(3, 2), (5, 2)])
+def test_divmod_by_monic_divisor_inverts_nothing(p, e, monkeypatch):
+    field = make_field(p, e)
+    inverted = []
+    real_inv = field.inv
+
+    def counting_inv(a):
+        inverted.append(a)
+        return real_inv(a)
+
+    monkeypatch.setitem(vars(field), "inv", counting_inv)
+    rng = random.Random(p**e)
+    elems = list(field.elements())
+    for _ in range(300):
+        b = Poly(field, [rng.choice(elems) for _ in range(rng.randint(1, 4))] + [field.one])
+        a = Poly(field, [rng.choice(elems) for _ in range(rng.randint(0, 10))])
+        quot, rem = divmod(a, b)
+        assert list(rem.coeffs) == _poly_list_mod(field, a.coeffs, b.coeffs)
+        assert quot * b + rem == a and rem.degree < b.degree
+    assert inverted == []
+    two = field.from_int(2)
+    divmod(Poly(field, (field.one, field.one, field.one)), Poly(field, (field.one, two)))
+    assert inverted == [two]
+
+
 def test_derivative(f3):
     assert poly(f3, "T^3+T").derivative() == Poly.one(f3)
     assert poly(f3, "T^2+2T+1").derivative() == poly(f3, "2T+2")
@@ -216,6 +247,28 @@ def test_iter_monic_irreducibles_bound(f3):
         next(iter_monic_irreducibles(20, f3))
 
 
+def test_rabin_runs_once_per_enumerated_polynomial(monkeypatch):
+    tested = []
+    real = polyring.is_irreducible
+
+    def counting(f):
+        tested.append(f)
+        return real(f)
+
+    monkeypatch.setattr(polyring, "is_irreducible", counting)
+    f5 = make_field(5)
+    for d in (1, 2, 3):
+        tested.clear()
+        places = monic_irreducibles(d, f5)
+        assert len(tested) == 5**d
+        assert len(places) == necklace_count(5, d)
+    tested.clear()
+    checked = [Place(pl.generator) for pl in places]  # outside input: Rabin again
+    assert len(tested) == len(places)
+    assert checked == places
+    assert [hash(pl) for pl in checked] == [hash(pl) for pl in places]
+
+
 # ---------------------------------------------------------------------------
 # residue symbol
 # ---------------------------------------------------------------------------
@@ -237,16 +290,6 @@ def test_residue_symbol_requirements(f3):
         residue_symbol(parse_poly("T+1", f2), y)
 
 
-def residue_square_classes(place):
-    """Exhaustive square table of the residue ring, the oracle for the symbol."""
-    field = place.field
-    fx = place.generator
-    squares = set()
-    for r in iter_residues(place):
-        squares.add(((r * r) % fx).coeffs)
-    return squares
-
-
 def iter_residues(place):
     field = place.field
     elems = list(field.elements())
@@ -254,26 +297,60 @@ def iter_residues(place):
         yield Poly(field, tuple(reversed(rev)))
 
 
-def oracle_symbol(a, place):
-    r = a % place.generator
-    if r.is_zero:
-        return 0
-    return 1 if r.coeffs in residue_square_classes(place) else -1
+def symbol_table(place):
+    """Symbol of every residue class mod the place, by exhaustive squaring in
+    the residue ring; the zero class maps to 0.  Euler's criterion must agree
+    on every class (the symbol of a depends only on a mod f_x, for both)."""
+    fx = place.generator
+    squares = {((r * r) % fx).coeffs for r in iter_residues(place)}
+    table = {}
+    for r in iter_residues(place):
+        table[r.coeffs] = 0 if r.is_zero else (1 if r.coeffs in squares else -1)
+        assert euler_symbol(r, place) == table[r.coeffs], (r, place)
+    return table
+
+
+def assert_symbols_match_tables(polys, places):
+    tables = {pl: symbol_table(pl) for pl in places}
+    for a in polys:
+        if not is_squarefree(a):
+            continue
+        for pl in places:
+            assert _residue_symbol(a, pl) == tables[pl][(a % pl.generator).coeffs], (a, pl)
 
 
 def test_symbol_matches_square_enumeration_smoke(f3):
     places = monic_irreducibles(1, f3) + monic_irreducibles(2, f3)
-    tables = {pl: residue_square_classes(pl) for pl in places}
-    for a in all_polys_up_to(f3, 3):
-        if not is_squarefree(a):
-            continue
-        for pl in places:
-            r = a % pl.generator
-            if r.is_zero:
-                expected = 0
-            else:
-                expected = 1 if r.coeffs in tables[pl] else -1
-            assert residue_symbol(a, pl) == expected
+    assert_symbols_match_tables(all_polys_up_to(f3, 3), places)
+
+
+@pytest.mark.parametrize("p, e, place_degrees", [
+    (3, 1, (3,)),
+    (5, 1, (1, 2)),
+    (3, 2, (1, 2)),
+])
+def test_symbol_matches_square_enumeration(p, e, place_degrees):
+    """Every squarefree a of degree <= 2 against every place of the degrees."""
+    field = make_field(p, e)
+    places = [pl for d in place_degrees for pl in monic_irreducibles(d, field)]
+    assert_symbols_match_tables(all_polys_up_to(field, 2), places)
+
+
+def test_symbol_matches_square_enumeration_f25():
+    """F_25 has 15,024 squarefree a of degree <= 2 and 325 places of degree
+    <= 2, minutes of work in full.  The grid keeps a with leading coefficient 1
+    or kappa (both square classes; monic quadratics already meet every
+    residue class), every degree-1 place and every 50th degree-2 place."""
+    field = make_field(5, 2)
+    kappa = field.nonsquare()
+    places = monic_irreducibles(1, field) + monic_irreducibles(2, field)[::50]
+    polys = [
+        a.scale(lead)
+        for a in all_polys_up_to(field, 2)
+        if a.is_monic
+        for lead in (field.one, kappa)
+    ]
+    assert_symbols_match_tables(polys, places)
 
 
 def test_symbol_square_class_invariance(f3):
@@ -316,3 +393,54 @@ def test_symbol_of_constants_by_place_degree():
             for pl in places:
                 expected = 1 if pl.degree % 2 == 0 else character
                 assert residue_symbol(a, pl) == expected
+
+
+# ---------------------------------------------------------------------------
+# symbol properties, hypothesis-driven
+# ---------------------------------------------------------------------------
+
+PROPERTY_FIELDS = [(3, 1), (5, 1), (3, 2)]
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def places_of(p, e, d):
+    return monic_irreducibles(d, make_field(p, e))
+
+
+@st.composite
+def field_and_place(draw):
+    p, e = draw(st.sampled_from(PROPERTY_FIELDS))
+    return p, e, draw(st.sampled_from(places_of(p, e, draw(st.integers(1, 3)))))
+
+
+@st.composite
+def field_place_and_two_polys(draw):
+    _, _, pl = draw(field_and_place())
+    elems = list(pl.field.elements())
+    polys = []
+    for _ in range(2):
+        coeffs = draw(st.lists(st.sampled_from(elems), min_size=0, max_size=3))
+        lead = draw(st.sampled_from(elems[1:]))
+        polys.append(Poly(pl.field, coeffs + [lead]))
+    return pl, polys[0], polys[1]
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_quadratic_reciprocity(data):
+    """(P/Q)(Q/P) = (-1)^(((q-1)/2) deg P deg Q) for distinct monic irreducibles."""
+    p, e, big_p = data.draw(field_and_place())
+    big_q = data.draw(st.sampled_from(places_of(p, e, data.draw(st.integers(1, 3)))))
+    assume(big_p != big_q)
+    q = big_p.field.q
+    sign = (-1) ** ((q - 1) // 2 * big_p.degree * big_q.degree)
+    assert residue_symbol(big_p.generator, big_q) * residue_symbol(big_q.generator, big_p) == sign
+
+
+@PROPERTY_SETTINGS
+@given(field_place_and_two_polys())
+def test_symbol_multiplicative_property(case):
+    pl, a, b = case
+    assume(is_squarefree(a * b))
+    assert residue_symbol(a * b, pl) == residue_symbol(a, pl) * residue_symbol(b, pl)

@@ -249,6 +249,22 @@ def test_fixed_point_count_validation(f3):
         fixed_point_count(r, r.keys()[0], kappa=1)  # 1 is a square
 
 
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2)])
+def test_fixed_point_count_matches_validated_embedding_counts(p, e):
+    """fixed_point_count trusts its generators; the public embedding_count
+    re-validates each one and must give the same sum on every key."""
+    field = make_field(p, e)
+    kappa = field.nonsquare()
+    for d1, d2 in candidate_degree_multisets(field):
+        for r in iter_ramsets(field, d1, d2):
+            for key in r.keys():
+                f = key.generator()
+                expected = embedding_count(f.scale(kappa), r)
+                if f.degree % 2 == 1:
+                    expected += embedding_count(f, r)
+                assert fixed_point_count(r, key) == expected
+
+
 def test_fixed_points_satisfy_involution_parity():
     # a tame involution on a genus-g curve fixes 2g + 2 - 4h points for some
     # quotient genus h >= 0, so every count is congruent to 2g + 2 mod 4

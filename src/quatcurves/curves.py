@@ -1,10 +1,17 @@
 """Hyperelliptic point counts, zeta numerators, and class numbers.
 
-Curves enter as squarefree models z^2 = f(T) over F_q, odd q.  Counts over
-F_{q^m} are exhaustive, the L-polynomial is recovered from the first g counts
-by Newton's identities plus the functional equation, and class numbers of
-imaginary quadratic orders come from the Jacobian order and the degree parity
-of the generator.
+Curves enter as squarefree models z^2 = f(T) over F_q, odd q.  The counts
+N_1..N_g over F_q..F_{q^g} come from sums of the quadratic character of
+F(sqrt(f))/F over the finite places of degree at most g, the Euler product of
+L(S, chi_f) (Rosen, Number Theory in Function Fields, GTM 210):
+N_m = q^m + inf_m + sum over d | m of d * (S_d if m/d is odd else U_d), with
+S_d the sum of the residue symbols (f/P) over the places of degree d, U_d the
+number of those places not dividing f, and inf_m the points at infinity.  No
+arithmetic in F_{q^m} is needed.  The L-polynomial is recovered from those
+counts by Newton's identities plus the functional equation, and class numbers
+of imaginary quadratic orders come from the Jacobian order and the degree
+parity of the generator.  The exhaustive count over F_{q^m} survives as the
+public point_count, an independent oracle for the place sums.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .gf import ENUMERATION_BOUND, BoundExceededError, extend_field
-from .polyring import Poly, is_squarefree
+from .polyring import Poly, _places_of_degree, _residue_symbol, is_squarefree
 
 INFINITY_RAMIFIED = "ramified"
 INFINITY_INERT = "inert"
@@ -72,21 +79,14 @@ def point_count(f: Poly, m: int = 1) -> int:
     when deg f is odd, and two or zero points when deg f is even according to
     whether the leading coefficient is a square in F_{q^m} (squareness is
     re-tested per extension; square classes change with the parity of m).
+    This enumeration shares no code with the place sums behind l_polynomial
+    and serves as their oracle.
     """
     info = quadratic_order_info(f)  # validates field, degree, squarefreeness
     if m < 1:
         raise ValueError("extension degree must be at least 1")
-    return _point_count(f, m, info.curve_genus)
-
-
-def _point_count(f: Poly, m: int, g: int) -> int:
-    """point_count for a valid f of model genus g and an m >= 1."""
     field = f.field
-    if field.q ** m > ENUMERATION_BOUND:
-        raise BoundExceededError(
-            f"point count over a field of size {field.q ** m} exceeds the "
-            f"enumeration bound {ENUMERATION_BOUND}"
-        )
+    _check_count_size(field.q ** m)
     ext = extend_field(field, m)
     squares = ext.squares()
     if ext == field:
@@ -107,18 +107,84 @@ def _point_count(f: Poly, m: int, g: int) -> int:
         n += 1
     elif coeffs[-1] in squares:
         n += 2
-    if g == 1 and (n - ext.q - 1) ** 2 > 4 * ext.q:
+    _check_hasse_weil(n, ext.q, info.curve_genus)
+    return n
+
+
+def _check_count_size(size: int) -> None:
+    if size > ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"point count over a field of size {size} exceeds the "
+            f"enumeration bound {ENUMERATION_BOUND}"
+        )
+
+
+def _check_hasse_weil(n: int, size: int, g: int) -> None:
+    """|N - size - 1| <= 2g sqrt(size), squared to stay in integers."""
+    if (n - size - 1) ** 2 > 4 * g * g * size:
         raise ArithmeticError(
-            f"genus-1 count {n} over a field of size {ext.q} violates the "
+            f"genus-{g} count {n} over a field of size {size} violates the "
             f"Hasse-Weil bound"
         )
-    return n
+
+
+def _place_point_counts(f: Poly, g: int) -> list[int]:
+    """N_1..N_g of z^2 = f from the place sums described in l_polynomial.
+
+    A root t of a place P of degree d lies in F_{q^m} exactly when d | m, and
+    f(t) is a nonzero square there iff (f/P)^(m/d) = 1.  Degree-1 symbols are
+    chi(f(c)) by Horner; higher degrees take the resultant symbol at each
+    place of the per-field memo.
+    """
+    field = f.field
+    q = field.q
+    for m in range(1, g + 1):
+        _check_count_size(q**m)
+    squares = field.squares()
+    zero, add, mul = field.zero, field.add, field.mul
+    s1 = u1 = 0
+    for t in field.elements():
+        acc = zero
+        for c in reversed(f.coeffs):
+            acc = add(mul(acc, t), c)
+        if acc != zero:
+            u1 += 1
+            s1 += 1 if acc in squares else -1
+    sums, units = [0, s1], [0, u1]
+    for d in range(2, g + 1):
+        symbols = [_residue_symbol(f, place) for place in _places_of_degree(field, d)]
+        sums.append(sum(symbols))
+        units.append(sum(s * s for s in symbols))
+    counts = []
+    for m in range(1, g + 1):
+        if f.degree % 2 == 1:
+            n = 1
+        elif m % 2 == 0 or f.leading in squares:
+            n = 2
+        else:
+            n = 0
+        n += q**m + sum(
+            d * (sums[d] if (m // d) % 2 else units[d])
+            for d in range(1, m + 1)
+            if m % d == 0
+        )
+        _check_hasse_weil(n, q**m, g)
+        counts.append(n)
+    return counts
 
 
 def l_polynomial(f: Poly) -> list[int]:
     """Coefficients c_0..c_{2g} of the zeta numerator P(S) = prod(1 - a_j S).
 
-    Power sums p_m = q^m + 1 - N_m feed Newton's identities
+    The counts N_1..N_g come from place sums, not from enumerating F_{q^m}:
+    the zeta function of z^2 = f is that of F_q(T) times L(S, chi_f), whose
+    Euler product runs over places (Rosen, Number Theory in Function Fields,
+    GTM 210), so
+    N_m = q^m + inf_m + sum over d | m of d * (S_d if m/d is odd else U_d),
+    with S_d the sum of the symbols (f/P) over the places of degree d, U_d the
+    number of those places not dividing f, and inf_m the points at infinity.
+    Each N_m must satisfy the Hasse-Weil bound.  Power sums
+    p_m = q^m + 1 - N_m feed Newton's identities
     p_m + c_1 p_{m-1} + ... + m c_m = 0 for c_1..c_g, and the functional
     equation c_{2g-i} = q^(g-i) c_i fills in the top half.  Every division
     must be exact; a remainder means the counts are inconsistent and raises.
@@ -132,8 +198,8 @@ def _l_polynomial(f: Poly, g: int) -> list[int]:
         return [1]
     q = f.field.q
     psums = [0]  # index 0 unused
-    for m in range(1, g + 1):
-        psums.append(q**m + 1 - _point_count(f, m, g))
+    for m, n in enumerate(_place_point_counts(f, g), 1):
+        psums.append(q**m + 1 - n)
     c = [1] + [0] * (2 * g)
     for m in range(1, g + 1):
         s = psums[m] + sum(c[i] * psums[m - i] for i in range(1, m))

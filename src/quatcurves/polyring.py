@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField, _poly_text, _split_signed_terms
 
@@ -384,6 +385,13 @@ def iter_monic_irreducibles(d: int, field: FiniteField):
     for f in iter_monic_polys(d, field):
         if is_irreducible(f):
             yield Place._from_irreducible(f)
+
+
+@lru_cache(maxsize=None)
+def _places_of_degree(field: FiniteField, d: int) -> tuple[Place, ...]:
+    """All places of degree d, canonical order, enumerated once per field and
+    degree for the place sums behind class numbers."""
+    return tuple(iter_monic_irreducibles(d, field))
 
 
 def monic_irreducibles(d: int, field: FiniteField) -> list[Place]:

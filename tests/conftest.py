@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from quatcurves import Place, Poly, make_field, parse_poly
+from quatcurves import Place, Poly, make_field, parse_poly, point_count, quadratic_order_info
 from quatcurves.polyring import _pow_mod
 
 
@@ -77,3 +77,21 @@ def euler_symbol(a, place):
     if s == Poly.constant(field, field.neg(field.one)):
         return -1
     raise AssertionError(f"Euler criterion produced a non-unit for {a} at {place}")
+
+
+def exhaustive_l_polynomial(f):
+    """Zeta numerator by Newton's identities over exhaustive point counts in
+    F_q..F_{q^g}: the library's former route, kept as an oracle for the place
+    sums."""
+    g = quadratic_order_info(f).curve_genus
+    q = f.field.q
+    psums = [0] + [q**m + 1 - point_count(f, m) for m in range(1, g + 1)]
+    c = [1] + [0] * (2 * g)
+    for m in range(1, g + 1):
+        s = psums[m] + sum(c[i] * psums[m - i] for i in range(1, m))
+        quot, rem = divmod(-s, m)
+        assert not rem, f"exhaustive counts of z^2 = {f} give a non-integer coefficient"
+        c[m] = quot
+    for i in range(g):
+        c[2 * g - i] = q ** (g - i) * c[i]
+    return c

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from quatcurves import ClassificationReport, candidate_degree_multisets, make_field
 from quatcurves.cli import main
@@ -305,3 +309,13 @@ def test_help_exits_cleanly(capsys):
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_python_m_runs_the_cli_from_a_checkout(capsys):
+    argv = ["classify", "--p", "3", "--places", "T,T^2+1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "quatcurves", *argv],
+                          capture_output=True, text=True, env=env, check=False, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

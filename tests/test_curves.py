@@ -1,8 +1,13 @@
 """Point counting, zeta numerators, Jacobian orders, class numbers."""
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quatcurves import (
+    ENUMERATION_BOUND,
     BoundExceededError,
     ClassNumberCache,
     Poly,
@@ -18,9 +23,9 @@ from quatcurves import (
     predicted_point_count,
     quadratic_order_info,
 )
-from quatcurves import curves
+from quatcurves import curves, polyring
 
-from conftest import all_polys_up_to
+from conftest import all_polys_up_to, exhaustive_l_polynomial
 
 
 def poly(field, text):
@@ -137,6 +142,116 @@ def test_hasse_weil_for_all_genus_one_models():
                 continue
             n = point_count(f)
             assert (n - p - 1) ** 2 <= 4 * p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_hasse_weil_for_every_genus(data):
+    """(N_m - q^m - 1)^2 <= 4 g^2 q^m for exhaustive counts, m <= 3."""
+    field = make_field(data.draw(st.sampled_from([3, 5])))
+    coeffs = data.draw(st.lists(st.integers(0, field.p - 1), min_size=2, max_size=8))
+    f = Poly.from_ints(field, coeffs)
+    assume(f.degree >= 1 and is_squarefree(f))
+    g = quadratic_order_info(f).curve_genus
+    m = data.draw(st.integers(1, 3))
+    size = field.q**m
+    assert (point_count(f, m) - size - 1) ** 2 <= 4 * g * g * size
+
+
+# ---------------------------------------------------------------------------
+# zeta numerator from place sums, against independent routes
+# ---------------------------------------------------------------------------
+
+def polys_with_leading(field, degrees, leads):
+    """Every polynomial of the given degrees whose leading coefficient is in
+    leads, degree by degree in odometer order."""
+    elems = list(field.elements())
+    for d in degrees:
+        for rev in itertools.product(elems, repeat=d):
+            for lead in leads:
+                yield Poly(field, tuple(reversed(rev)) + (lead,))
+
+
+@pytest.mark.parametrize("p, e, max_degree, stride", [(3, 1, 6, 1), (5, 1, 4, 1), (3, 2, 4, 7)])
+def test_l_polynomial_matches_exhaustive_oracle(p, e, max_degree, stride):
+    """Place sums agree with Newton's identities over exhaustive counts, for
+    monic and non-square-leading generators (over F_9 every 7th candidate,
+    since the squarefree test of all of them alone takes seconds)."""
+    field = make_field(p, e)
+    polys = polys_with_leading(field, range(1, max_degree + 1), (field.one, field.nonsquare()))
+    for f in itertools.islice(polys, None, None, stride):
+        if is_squarefree(f):
+            assert l_polynomial(f) == exhaustive_l_polynomial(f), str(f)
+
+
+def test_l_polynomial_matches_exhaustive_oracle_at_genus_four(f3):
+    """N_4 takes U_2, the degree-2 places not dividing f, which genus <= 3
+    never reaches; here T^2+1 divides every f (every 97th candidate)."""
+    place = poly(f3, "T^2+1")
+    cofactors = polys_with_leading(f3, (7, 8), (f3.one, f3.nonsquare()))
+    for h in itertools.islice(cofactors, None, None, 97):
+        f = place * h
+        if is_squarefree(f):
+            assert l_polynomial(f) == exhaustive_l_polynomial(f), str(f)
+
+
+@pytest.mark.parametrize("p, e, stride", [(3, 1, 1), (5, 1, 1), (3, 2, 199)])
+def test_twist_flips_odd_zeta_coefficients(p, e, stride):
+    """z^2 = kappa f is the quadratic twist of z^2 = f: a_m changes sign for
+    odd m only, so c_i picks up (-1)^i.  Monic f of degree 1, 3, 5 cover every
+    odd-degree model up to scaling by squares; over F_9 every 199th of them
+    (the full grid takes minutes)."""
+    field = make_field(p, e)
+    kappa = field.nonsquare()
+    for f in itertools.islice(polys_with_leading(field, (1, 3, 5), (field.one,)), None, None, stride):
+        if not is_squarefree(f):
+            continue
+        twisted = l_polynomial(f.scale(kappa))
+        assert twisted == [(-1) ** i * c for i, c in enumerate(l_polynomial(f))], str(f)
+
+
+def test_hasse_weil_guard_rejects_wrong_symbols(monkeypatch):
+    """With every degree-2 symbol forced to +1, N_2 of z^2 = T^5-T+1 over F_5
+    is 25 + 1 + 5 + 2*10 = 51, outside 26 +- 20."""
+    f = poly(make_field(5), "T^5-T+1")
+    assert class_number(f) == sum(exhaustive_l_polynomial(f))
+    monkeypatch.setattr(curves, "_residue_symbol", lambda a, place: 1)
+    with pytest.raises(ArithmeticError, match="genus-2 count 51 over a field of size 25 violates"):
+        class_number(f)
+
+
+def count_irreducibility_tests(monkeypatch):
+    calls = []
+    real = polyring.is_irreducible
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(polyring, "is_irreducible", counting)
+    polyring._places_of_degree.cache_clear()
+    return calls
+
+
+def test_bound_raised_before_any_place_is_enumerated(f3, monkeypatch):
+    f = poly(f3, "T^31+2T+1")  # derivative 2: squarefree, genus 15
+    assert quadratic_order_info(f).curve_genus == 15
+    calls = count_irreducibility_tests(monkeypatch)
+    message = (f"point count over a field of size {3**15} exceeds the "
+               f"enumeration bound {ENUMERATION_BOUND}")
+    for compute in (l_polynomial, class_number):
+        with pytest.raises(BoundExceededError) as info:
+            compute(f)
+        assert str(info.value) == message
+    assert calls == []
+
+
+def test_places_enumerated_once_per_field_and_degree(f3, monkeypatch):
+    calls = count_irreducibility_tests(monkeypatch)
+    for text in ("T^9+2T+1", "T^9+2T+2"):  # derivative 2: squarefree, genus 4
+        f = poly(f3, text)
+        assert class_number(f) == sum(exhaustive_l_polynomial(f))
+    assert len(calls) == 3**2 + 3**3 + 3**4
 
 
 # ---------------------------------------------------------------------------

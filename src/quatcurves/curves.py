@@ -87,25 +87,21 @@ def point_count(f: Poly, m: int = 1) -> int:
         raise ValueError("extension degree must be at least 1")
     field = f.field
     _check_count_size(field.q ** m)
+    # the coefficients of f are their own constants in the extension
     ext = extend_field(field, m)
-    squares = ext.squares()
-    if ext == field:
-        coeffs = f.coeffs
-    else:
-        coeffs = tuple(ext.embed(c) for c in f.coeffs)
-    zero, add, mul = ext.zero, ext.add, ext.mul
+    zero, add, mul, is_square = ext.zero, ext.add, ext.mul, ext.is_square
     n = 0
     for t in ext.elements():
         acc = zero
-        for c in reversed(coeffs):
+        for c in reversed(f.coeffs):
             acc = add(mul(acc, t), c)
         if acc == zero:
             n += 1
-        elif acc in squares:
+        elif is_square(acc):
             n += 2
     if f.degree % 2 == 1:
         n += 1
-    elif coeffs[-1] in squares:
+    elif is_square(f.leading):
         n += 2
     _check_hasse_weil(n, ext.q, info.curve_genus)
     return n
@@ -140,8 +136,7 @@ def _place_point_counts(f: Poly, g: int) -> list[int]:
     q = field.q
     for m in range(1, g + 1):
         _check_count_size(q**m)
-    squares = field.squares()
-    zero, add, mul = field.zero, field.add, field.mul
+    zero, add, mul, is_square = field.zero, field.add, field.mul, field.is_square
     s1 = u1 = 0
     for t in field.elements():
         acc = zero
@@ -149,7 +144,7 @@ def _place_point_counts(f: Poly, g: int) -> list[int]:
             acc = add(mul(acc, t), c)
         if acc != zero:
             u1 += 1
-            s1 += 1 if acc in squares else -1
+            s1 += 1 if is_square(acc) else -1
     sums, units = [0, s1], [0, u1]
     for d in range(2, g + 1):
         symbols = [_residue_symbol(f, place) for place in _places_of_degree(field, d)]
@@ -159,7 +154,7 @@ def _place_point_counts(f: Poly, g: int) -> list[int]:
     for m in range(1, g + 1):
         if f.degree % 2 == 1:
             n = 1
-        elif m % 2 == 0 or f.leading in squares:
+        elif m % 2 == 0 or is_square(f.leading):
             n = 2
         else:
             n = 0
@@ -272,6 +267,8 @@ class ClassNumberCache:
                 if len(fields) != 4:
                     raise ValueError(f"malformed cache record: {line!r}")
                 p, e, a_text, h = fields
+                if int(h) < 1:
+                    raise ValueError(f"class number must be positive: {line!r}")
                 self._store((int(p), int(e), a_text), int(h))
 
     def save(self, path) -> None:

@@ -1,9 +1,10 @@
 """Exact arithmetic in small finite fields.
 
 A field is either a prime field Z/p or an extension base[u]/(m) for a monic
-irreducible modulus m over the base.  Elements of a prime field are the
-integers 0..p-1; elements of an extension are fixed-length tuples of base
-elements, constant coefficient first.  Every value is immutable and every
+irreducible modulus m over the base.  Every element is an integer 0..q-1, its
+position in odometer order: sum c_i u^i is sum c_i Q^i with Q the size of the
+base, so a base element is its own constant.  Prime fields compute modulo p,
+extensions by exp/log/Zech tables.  Every value is immutable and every
 operation is a pure function, so fields and elements can be shared freely.
 
 One deterministic order is used throughout: coefficient sequences are counted
@@ -52,23 +53,14 @@ class FiniteField:
     def odd_characteristic(self) -> bool:
         return self.p != 2
 
-    def pow(self, a, n: int):
-        """a**n by square-and-multiply; n must be a non-negative integer."""
-        if n < 0:
-            raise ValueError("exponent must be non-negative")
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+    def from_int(self, n: int) -> int:
+        return n % self.p
 
     def is_square(self, a) -> bool:
         """Euler criterion: a == 0 or a**((q-1)/2) == 1.  Odd characteristic only."""
-        if not self.odd_characteristic:
+        if self.p == 2:
             raise ValueError("square classes are trivial in characteristic 2")
-        return a == self.zero or self.pow(a, (self.q - 1) // 2) == self.one
+        return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
 
     def nonsquare(self):
         """The first non-square in enumeration order of the nonzero elements."""
@@ -80,14 +72,10 @@ class FiniteField:
             )
         return self._nonsquare
 
-    def squares(self) -> frozenset:
-        """The set of all squares, built by squaring every element once."""
-        if self._squares is None:
-            self._squares = frozenset(self.mul(a, a) for a in self.elements())
-        return self._squares
-
     def elements(self):
-        raise NotImplementedError
+        """Every element, in odometer order: the integers 0..q-1."""
+        self._check_enumerable()
+        yield from range(self.q)
 
     def _check_enumerable(self) -> None:
         if self.q > ENUMERATION_BOUND:
@@ -110,10 +98,6 @@ class PrimeField(FiniteField):
         self.zero = 0
         self.one = 1
         self._nonsquare = None
-        self._squares = None
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -137,13 +121,6 @@ class PrimeField(FiniteField):
             raise ValueError("exponent must be non-negative")
         return pow(a, n, self.p)
 
-    def elements(self):
-        self._check_enumerable()
-        yield from range(self.p)
-
-    def element_index(self, a: int) -> int:
-        return a
-
     def element_str(self, a: int) -> str:
         return str(a)
 
@@ -166,8 +143,12 @@ class PrimeField(FiniteField):
 class ExtensionField(FiniteField):
     """base[u]/(modulus) for a monic irreducible modulus over base.
 
-    Elements are tuples of base elements whose length equals the modulus
-    degree, constant coefficient first.
+    The element sum c_i u^i (c_i in base, i < m) is the integer sum c_i Q^i
+    with Q = base.q.  From the first primitive element g in that order the
+    constructor tabulates, for N = q - 1, exp[k] = g^k for 0 <= k < 2N (two
+    periods, so a sum of two logs needs no reduction), log[g^k] = k and the
+    Zech logarithm zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0.  Products
+    add logs and sums are g^i + g^j = g^(i + zech[j - i]).
     """
 
     def __init__(self, base: FiniteField, modulus):
@@ -180,73 +161,105 @@ class ExtensionField(FiniteField):
         self.p = base.p
         self.q = base.q ** self.m
         self.e = base.e * self.m
-        self.zero = (base.zero,) * self.m
-        self.one = (base.one,) + (base.zero,) * (self.m - 1)
+        self.zero = 0
+        self.one = 1
         self._nonsquare = None
-        self._squares = None
-
-    def embed(self, c):
-        """Constant embedding of a base-field element."""
-        return (c,) + (self.base.zero,) * (self.m - 1)
-
-    def from_int(self, n: int):
-        return self.embed(self.base.from_int(n))
-
-    def add(self, a, b):
-        badd = self.base.add
-        return tuple(badd(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        bsub = self.base.sub
-        return tuple(bsub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        bneg = self.base.neg
-        return tuple(bneg(x) for x in a)
-
-    def mul(self, a, b):
-        base = self.base
-        m = self.m
-        zero = base.zero
-        prod = [zero] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                if y == zero:
-                    continue
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        # fold down by the monic modulus: u^k = -sum modulus[j] u^(k-m+j)
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c == zero:
-                continue
-            prod[k] = zero
-            for j in range(m):
-                mj = self.modulus[j]
-                if mj != zero:
-                    prod[k - m + j] = base.sub(prod[k - m + j], base.mul(c, mj))
-        return tuple(prod[:m])
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inversion of zero")
-        return self.pow(a, self.q - 2)
-
-    def elements(self):
         self._check_enumerable()
-        base_elems = list(self.base.elements())
-        for rev in itertools.product(base_elems, repeat=self.m):
-            yield tuple(reversed(rev))
+        self._build_tables(self._first_primitive())
 
-    def element_index(self, a) -> int:
-        idx = 0
-        for c in reversed(a):
-            idx = idx * self.base.q + self.base.element_index(c)
-        return idx
+    # -- construction: coefficient arithmetic, used only to fill the tables
 
-    def element_str(self, a) -> str:
-        return _poly_text(self.base, a, "u")
+    def _coeffs(self, a: int) -> list:
+        """Base-field coefficients c_0..c_{m-1} of the element a."""
+        return [a // self.base.q**i % self.base.q for i in range(self.m)]
+
+    def _from_coeffs(self, coeffs) -> int:
+        return sum(c * self.base.q**i for i, c in enumerate(coeffs))
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """a * b by schoolbook multiplication modulo the modulus."""
+        base = self.base
+        prod = [base.zero] * (2 * self.m - 1)
+        b_terms = [(j, y) for j, y in enumerate(self._coeffs(b)) if y != base.zero]
+        for i, x in enumerate(self._coeffs(a)):
+            if x != base.zero:
+                for j, y in b_terms:
+                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+        return self._from_coeffs(_poly_list_mod(base, prod, list(self.modulus)))
+
+    def _poly_pow(self, a: int, n: int) -> int:
+        if n == 0:
+            return self.one
+        half = self._poly_pow(self._poly_mul(a, a), n // 2)
+        return self._poly_mul(half, a) if n % 2 else half
+
+    def _first_primitive(self) -> int:
+        """First g with g^(q-1) = 1 and g^((q-1)/l) != 1 for each prime l | q-1.
+        A nonzero g with g^(q-1) != 1 proves the quotient ring is no field,
+        so a reducible modulus is rejected there, and never past q."""
+        n = self.q - 1
+        ells = _prime_factors(n)
+        for g in range(1, self.q):
+            if self._poly_pow(g, n) != self.one:
+                break
+            if all(self._poly_pow(g, n // ell) != self.one for ell in ells):
+                return g
+        raise ValueError(f"modulus {self.modulus_str()} is reducible: no primitive element")
+
+    def _build_tables(self, g: int) -> None:
+        n = self.q - 1
+        exp = [0] * (2 * n)
+        log = [0] * self.q
+        a = self.one
+        for k in range(n):
+            exp[k] = exp[k + n] = a
+            log[a] = k
+            a = self._poly_mul(a, g)
+        # 1 + a changes only the constant coefficient a % Q of a
+        bq, badd, bone = self.base.q, self.base.add, self.base.one
+        ones = [a - a % bq + badd(a % bq, bone) for a in exp[:n]]
+        zech = [log[b] if b != self.zero else -1 for b in ones]
+        self._n, self._exp, self._log, self._zech = n, exp, log, zech
+        # -1 = g^(n/2) in odd characteristic and 1 = g^0 in characteristic 2
+        self._log_minus_one = n // 2 if self.odd_characteristic else 0
+
+    # -- arithmetic by table lookup
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        # a negative difference indexes from the end, i.e. modulo n
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def neg(self, a: int) -> int:
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
+
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero")
+        return self._exp[self._n - self._log[a]]
+
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            raise ValueError("exponent must be non-negative")
+        if a == 0:
+            return self.one if n == 0 else self.zero
+        return self._exp[self._log[a] * n % self._n]
+
+    # -- text
+
+    def element_str(self, a: int) -> str:
+        return _poly_text(self.base, self._coeffs(a), "u")
 
     def modulus_str(self) -> str:
         return _poly_text(self.base, self.modulus, "u")
@@ -264,31 +277,17 @@ class ExtensionField(FiniteField):
         text = text.strip().replace(" ", "")
         if not text:
             raise ValueError("empty element text")
-        coeffs = [self.base.zero] * self.m
-        extra = []
+        # the class of u; it is a base constant when the modulus is linear
+        u = self._from_coeffs(_poly_list_mod(self.base, [0, 1], list(self.modulus)))
+        value = self.zero
         for sign, term in _split_signed_terms(text):
             match = self._TERM_RE.fullmatch(term)
             if not match or (match.group("coef") is None and match.group("var") is None):
                 raise ValueError(f"cannot parse element term {term!r}")
-            c = self.base.from_int(int(match.group("coef") or 1))
-            if sign < 0:
-                c = self.base.neg(c)
-            exp = 0
-            if match.group("var"):
-                exp = int(match.group("exp") or 1)
-            if exp < self.m:
-                coeffs[exp] = self.base.add(coeffs[exp], c)
-            else:
-                extra.append((exp, c))
-        if extra:
-            # reduce out-of-range powers by the modulus
-            top = max(exp for exp, _ in extra)
-            full = list(coeffs) + [self.base.zero] * (top + 1 - self.m)
-            for exp, c in extra:
-                full[exp] = self.base.add(full[exp], c)
-            coeffs = _poly_list_mod(self.base, full, list(self.modulus))
-            coeffs += [self.base.zero] * (self.m - len(coeffs))
-        return tuple(coeffs)
+            c = self.from_int(sign * int(match.group("coef") or 1))
+            exp = int(match.group("exp") or 1) if match.group("var") else 0
+            value = self.add(value, self.mul(c, self.pow(u, exp)))
+        return value
 
     def __eq__(self, other):
         return (
@@ -302,6 +301,20 @@ class ExtensionField(FiniteField):
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _poly_text(field: FiniteField, coeffs, var: str) -> str:
@@ -409,8 +422,8 @@ def make_field(p: int, e: int = 1) -> FiniteField:
 def extend_field(field: FiniteField, m: int) -> FiniteField:
     """Degree-m extension of an arbitrary field, built as field[u]/(g).
 
-    Constants of the given field embed via ExtensionField.embed, so there is
-    never an embedding to search for.
+    An element of the given field is its own constant in the extension, so
+    there is never an embedding to search for or apply.
     """
     if m < 1:
         raise ValueError("extension degree must be at least 1")

@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField, _poly_text, _split_signed_terms
+from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField
+from .gf import _poly_text, _prime_factors, _split_signed_terms
 
 
 class Poly:
@@ -80,7 +81,7 @@ class Poly:
         on polynomials of a fixed degree."""
         idx = 0
         for c in reversed(self.coeffs):
-            idx = idx * self.field.q + self.field.element_index(c)
+            idx = idx * self.field.q + c
         return idx
 
     # -- ring operations ----------------------------------------------
@@ -278,20 +279,6 @@ def _pow_mod(base: Poly, n: int, modulus: Poly) -> Poly:
         base = (base * base) % modulus
         n >>= 1
     return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -281,6 +281,8 @@ def _embedding_count(info: QuadOrderInfo, ramset: RamSet, cache: ClassNumberCach
 def _checked_kappa(field: FiniteField, kappa):
     if kappa is None:
         return field.nonsquare()
+    if not isinstance(kappa, int) or not 0 <= kappa < field.q:
+        raise ValueError(f"kappa must be an element of GF({field.q}), got {kappa!r}")
     if kappa == field.zero or field.is_square(kappa):
         raise ValueError(
             f"kappa must be a non-square unit, got {field.element_str(kappa)}"

@@ -296,6 +296,19 @@ def test_inconsistent_cache_exits_with_code_4(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_cache_with_nonpositive_class_number_is_unreadable(tmp_path, capsys):
+    # a class number is the order of a group, so h = 0 would silently zero
+    # every embedding count that reads it
+    path = tmp_path / "zero.cache"
+    path.write_text("3 1 T^3+T 0\n")
+    code, out, err = run(capsys, "classify", "--p", "3", "--places", "T,T^2+1",
+                         "--cache", str(path))
+    assert code == 2
+    assert not out
+    assert "cannot read cache" in err and "T^3+T 0" in err
+    assert path.read_text() == "3 1 T^3+T 0\n"
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Field construction, arithmetic, square classes, and enumeration order."""
 
 import itertools
+import random
 
 import pytest
 
 from quatcurves import (
     ENUMERATION_BOUND,
     BoundExceededError,
+    Poly,
     extend_field,
     make_field,
 )
-from quatcurves.gf import PrimeField, _first_irreducible
+from quatcurves.gf import ExtensionField, PrimeField, _first_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +111,11 @@ def test_field_axioms_f9():
 
 
 def test_generator_fourth_power_in_f9():
-    # with modulus u^2+1, the class of u squares to -1, so u^4 = 1
+    # with modulus u^2+1, the class of u squares to -1, so u^4 = 1; u is
+    # coded 0 + 1 * 3, its position in odometer order
     f9 = make_field(3, 2)
-    theta = (0, 1)
+    theta = f9.parse_element("u")
+    assert theta == 3
     assert f9.mul(theta, theta) == f9.from_int(-1)
     assert f9.pow(theta, 4) == f9.one
 
@@ -136,6 +140,96 @@ def test_pow_rejects_negative_exponent():
     f9 = make_field(3, 2)
     with pytest.raises(ValueError):
         f9.pow(f9.one, -1)
+
+
+def _poly_of(field, a):
+    """The coefficient polynomial of the element coded a, decoded here from
+    the integer coding alone (constant coefficient first, base Q = base.q)."""
+    coeffs = []
+    for _ in range(field.m):
+        a, c = divmod(a, field.base.q)
+        coeffs.append(c)
+    return Poly(field.base, coeffs)
+
+
+def _code_of(field, poly):
+    assert poly.degree < field.m
+    return sum(c * field.base.q**i for i, c in enumerate(poly.coeffs))
+
+
+def _table_oracle_cases(field, sample):
+    elems = list(field.elements())
+    if sample is None:
+        return [(a, b) for a in elems for b in elems]
+    rng = random.Random(field.q)
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(sample)]
+
+
+@pytest.mark.parametrize("field, sample", [
+    (make_field(2, 2), None),
+    (make_field(2, 3), None),
+    (make_field(3, 2), None),
+    (make_field(5, 2), None),
+    (make_field(3, 3), None),
+    (make_field(3, 4), 400),
+    (extend_field(make_field(3, 2), 2), 400),
+], ids=["F4", "F8", "F9", "F25", "F27", "F81", "F81/F9"])
+def test_tables_match_polynomial_arithmetic_modulo_the_modulus(field, sample):
+    """Table add/sub/neg/mul/inv/pow/is_square against Poly arithmetic modulo
+    Poly(base, modulus) and Euler's criterion by repeated multiplication."""
+    modulus = Poly(field.base, field.modulus)
+    one = Poly(field.base, [field.base.one])
+    for a, b in _table_oracle_cases(field, sample):
+        pa, pb = _poly_of(field, a), _poly_of(field, b)
+        assert field.add(a, b) == _code_of(field, (pa + pb) % modulus)
+        assert field.sub(a, b) == _code_of(field, (pa - pb) % modulus)
+        assert field.mul(a, b) == _code_of(field, (pa * pb) % modulus)
+    exponents = range(field.q + 2) if sample is None else (0, 1, 2, 5, field.q - 2, field.q)
+    half = (field.q - 1) // 2
+    for a, _ in _table_oracle_cases(field, sample and 60):
+        pa = _poly_of(field, a)
+        assert field.neg(a) == _code_of(field, (-pa) % modulus)
+        if a != field.zero:
+            assert (pa * _poly_of(field, field.inv(a))) % modulus == one
+        acc, euler = one, None
+        for n in range(max(exponents) + 1):
+            if n in exponents:
+                assert field.pow(a, n) == _code_of(field, acc)
+            if n == half:
+                euler = acc
+            acc = (acc * pa) % modulus
+        if field.odd_characteristic:
+            assert field.is_square(a) == (a == field.zero or euler == one)
+
+
+@pytest.mark.parametrize("modulus", [(0, 0, 1), (2, 0, 1)], ids=["u^2", "u^2+2"])
+def test_reducible_modulus_is_rejected(modulus):
+    # u^2 has the nilpotent u and u^2+2 = (u+1)(u+2) splits; neither quotient
+    # ring is a field, so no element has multiplicative order q - 1
+    with pytest.raises(ValueError, match="reducible"):
+        ExtensionField(make_field(3), modulus)
+
+
+def test_direct_construction_past_the_bound_builds_no_tables():
+    # 3^15 > ENUMERATION_BOUND: refused before any table or primitive search
+    modulus = (1,) + (0,) * 14 + (1,)
+    assert 3**15 > ENUMERATION_BOUND
+    with pytest.raises(BoundExceededError):
+        ExtensionField(make_field(3), modulus)
+
+
+def test_tables_use_the_first_element_of_full_order():
+    for field in (make_field(3, 2), make_field(2, 3), extend_field(make_field(3), 8)):
+        def order(a):
+            k, acc = 1, a
+            while acc != field.one:
+                k, acc = k + 1, field.mul(acc, a)
+            return k
+
+        units = range(1, field.q)
+        first = next(a for a in units if order(a) == field.q - 1)
+        assert field._exp[1] == first
+        assert sorted(field._exp[: field.q - 1]) == list(units)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +275,8 @@ def test_canonical_nonsquare_values():
     first = next(
         a for a in f9.elements() if a != f9.zero and f9.pow(a, 4) != f9.one
     )
-    assert kappa == first == (1, 1)
+    assert kappa == first == 4
+    assert f9.element_str(kappa) == "u+1"
 
 
 def test_square_classes_partition_units():
@@ -211,9 +306,10 @@ def test_enumeration_cardinality_and_distinctness():
 def test_enumeration_order_constant_term_fastest():
     f9 = make_field(3, 2)
     elems = list(f9.elements())
-    assert elems[:5] == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    assert [f9.element_str(a) for a in elems[:5]] == ["0", "1", "2", "u", "u+1"]
     for i, a in enumerate(elems):
-        assert f9.element_index(a) == i
+        assert a == i
+        assert f9.parse_element(f"{i // 3}u+{i % 3}") == a
 
 
 def test_enumeration_closure_under_arithmetic():
@@ -249,11 +345,12 @@ def test_tower_extension_of_f9():
     f81 = extend_field(f9, 2)
     assert f81.q == 81
     assert f81.base == f9
-    # constant embedding is a ring homomorphism
+    # an element of F_9 is its own constant in F_81, and that embedding is a
+    # ring homomorphism
     for a in f9.elements():
         for b in f9.elements():
-            assert f81.embed(f9.add(a, b)) == f81.add(f81.embed(a), f81.embed(b))
-            assert f81.embed(f9.mul(a, b)) == f81.mul(f81.embed(a), f81.embed(b))
+            assert f9.add(a, b) == f81.add(a, b)
+            assert f9.mul(a, b) == f81.mul(a, b)
     sample = list(itertools.islice(f81.elements(), 7))
     for a in sample:
         assert f81.pow(a, 81) == a
@@ -287,9 +384,9 @@ def test_element_parse_normalizes():
     assert f3.parse_element("5") == 2
     assert f3.parse_element("-1") == 2
     f9 = make_field(3, 2)
-    assert f9.parse_element("u+2") == (2, 1)
-    assert f9.parse_element("2u") == (0, 2)
-    assert f9.parse_element("2*u+1") == (1, 2)
+    assert f9.parse_element("u+2") == 2 + 1 * 3
+    assert f9.parse_element("2u") == 0 + 2 * 3
+    assert f9.parse_element("2*u+1") == 1 + 2 * 3
     assert f9.parse_element("u^2") == f9.from_int(-1)  # reduced by u^2+1
 
 

@@ -71,8 +71,9 @@ def test_parse_examples(f3, f9):
     assert poly(f3, "T^3-T+1").coeffs == (1, 2, 0, 1)
     assert poly(f3, "2T^2+T").coeffs == (0, 1, 2)
     assert poly(f3, "2*T^2+1") == poly(f3, "2T^2+1")
-    assert poly(f9, "T^2+(u+1)T+2").coeffs == (f9.from_int(2), (1, 1), f9.one)
-    assert poly(f9, "uT+u^2").coeffs == (f9.from_int(-1), (0, 1))
+    # F_9 coefficients are coded c_0 + 3 c_1: u+1 is 4, u is 3
+    assert poly(f9, "T^2+(u+1)T+2").coeffs == (f9.from_int(2), 4, f9.one)
+    assert poly(f9, "uT+u^2").coeffs == (f9.from_int(-1), 3)
 
 
 def test_parse_rejects_garbage(f3):

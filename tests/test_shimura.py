@@ -249,6 +249,19 @@ def test_fixed_point_count_validation(f3):
         fixed_point_count(r, r.keys()[0], kappa=1)  # 1 is a square
 
 
+def test_kappa_outside_the_field_is_a_value_error(f3):
+    # kappa is an element code 0..q-1; anything else is refused up front
+    # instead of escaping as TypeError or IndexError from the arithmetic
+    f9 = make_field(3, 2)
+    r9 = RamSet((first_places(f9, 1, 1)[0], first_places(f9, 2, 2)[0]))
+    for field, r in ((f3, ramset(f3, "T", "T^2+1")), (f9, r9)):
+        for bad in ((1, 1), field.q, -1, 2.0, "u+1"):
+            with pytest.raises(ValueError, match="kappa"):
+                fixed_point_count(r, r.keys()[0], kappa=bad)
+            with pytest.raises(ValueError, match="kappa"):
+                classify(r, kappa=bad)
+
+
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2)])
 def test_fixed_point_count_matches_validated_embedding_counts(p, e):
     """fixed_point_count trusts its generators; the public embedding_count

@@ -12,6 +12,14 @@ counts by Newton's identities plus the functional equation, and class numbers
 of imaginary quadratic orders come from the Jacobian order and the degree
 parity of the generator.  The exhaustive count over F_{q^m} survives as the
 public point_count, an independent oracle for the place sums.
+
+The sums reach the shared Newton stage by two routes.  The public functions
+take them from the generator itself.  Fixed-point counts take them from
+per-place data: a generator u * prod(Q_i) with u a unit and Q_i distinct
+places has (u prod Q_i / P) = chi(u)^(deg P) prod (Q_i / P), the symbol being
+multiplicative (Rosen, ch. 3), so S_d is chi(u)^d times a sum over the
+coordinatewise product of the memoised symbol vectors of the Q_i, and U_d
+does not depend on u.  The generator route stays the oracle for this one.
 """
 
 from __future__ import annotations
@@ -21,7 +29,14 @@ import os
 from dataclasses import dataclass
 
 from .gf import ENUMERATION_BOUND, BoundExceededError, extend_field
-from .polyring import Poly, _places_of_degree, _residue_symbol, is_squarefree
+from .polyring import (
+    Poly,
+    _linear_symbols,
+    _places_of_degree,
+    _residue_symbol,
+    _symbol_vector,
+    is_squarefree,
+)
 
 INFINITY_RAMIFIED = "ramified"
 INFINITY_INERT = "inert"
@@ -124,37 +139,67 @@ def _check_hasse_weil(n: int, size: int, g: int) -> None:
         )
 
 
-def _place_point_counts(f: Poly, g: int) -> list[int]:
-    """N_1..N_g of z^2 = f from the place sums described in l_polynomial.
+def _check_count_sizes(q: int, g: int) -> None:
+    """The enumeration bound for every count N_1..N_g, checked before any
+    place is enumerated or symbol computed."""
+    for m in range(1, g + 1):
+        _check_count_size(q**m)
 
-    A root t of a place P of degree d lies in F_{q^m} exactly when d | m, and
-    f(t) is a nonzero square there iff (f/P)^(m/d) = 1.  Degree-1 symbols are
-    chi(f(c)) by Horner; higher degrees take the resultant symbol at each
-    place of the per-field memo.
+
+def _generator_sums(f: Poly, g: int) -> tuple[list[int], list[int]]:
+    """S_d and U_d of z^2 = f for d = 1..g (index 0 unused), from f itself:
+    chi(f(c)) by Horner at degree 1, the resultant symbol of f at each place
+    of the per-field place memo above it."""
+    field = f.field
+    _check_count_sizes(field.q, g)
+    return _sums(
+        _linear_symbols(f) if d == 1
+        else [_residue_symbol(f, place) for place in _places_of_degree(field, d)]
+        for d in range(1, g + 1)
+    )
+
+
+def _vector_sums(places, g: int) -> tuple[list[int], list[int]]:
+    """S_d and U_d, d = 1..g, of the monic product of distinct places, from
+    their memoised symbol vectors: the symbol of the product at P is the
+    product of the places' symbols at P, so each coordinatewise product is
+    the product's vector."""
+    _check_count_sizes(places[0].field.q, g)
+    products = []
+    for d in range(1, g + 1):
+        symbols = _symbol_vector(places[0], d)
+        for place in places[1:]:
+            symbols = [a * b for a, b in zip(symbols, _symbol_vector(place, d))]
+        products.append(symbols)
+    return _sums(products)
+
+
+def _sums(symbol_lists) -> tuple[list[int], list[int]]:
+    """S_d, the sum of the d-th symbol list, and U_d, its count of nonzero
+    symbols, for d = 1, 2, ...; index 0 is unused."""
+    sums, units = [0], [0]
+    for symbols in symbol_lists:
+        sums.append(sum(symbols))
+        units.append(sum(s * s for s in symbols))
+    return sums, units
+
+
+def _l_polynomial_from_sums(f: Poly, g: int, sums, units) -> list[int]:
+    """The zeta numerator of z^2 = f from its symbol sums S_d, U_d (d <= g).
+
+    N_m = q^m + inf_m + sum over d | m of d * (S_d if m/d is odd else U_d):
+    a root t of a place P of degree d lies in F_{q^m} exactly when d | m, and
+    f(t) is a nonzero square there iff (f/P)^(m/d) = 1.  Each N_m must
+    satisfy the Hasse-Weil bound; Newton's identities and the functional
+    equation then give the coefficients, every division exact.
     """
     field = f.field
     q = field.q
-    for m in range(1, g + 1):
-        _check_count_size(q**m)
-    zero, add, mul, is_square = field.zero, field.add, field.mul, field.is_square
-    s1 = u1 = 0
-    for t in field.elements():
-        acc = zero
-        for c in reversed(f.coeffs):
-            acc = add(mul(acc, t), c)
-        if acc != zero:
-            u1 += 1
-            s1 += 1 if is_square(acc) else -1
-    sums, units = [0, s1], [0, u1]
-    for d in range(2, g + 1):
-        symbols = [_residue_symbol(f, place) for place in _places_of_degree(field, d)]
-        sums.append(sum(symbols))
-        units.append(sum(s * s for s in symbols))
-    counts = []
+    psums = [0]  # index 0 unused
     for m in range(1, g + 1):
         if f.degree % 2 == 1:
             n = 1
-        elif m % 2 == 0 or is_square(f.leading):
+        elif m % 2 == 0 or field.is_square(f.leading):
             n = 2
         else:
             n = 0
@@ -164,8 +209,20 @@ def _place_point_counts(f: Poly, g: int) -> list[int]:
             if m % d == 0
         )
         _check_hasse_weil(n, q**m, g)
-        counts.append(n)
-    return counts
+        psums.append(q**m + 1 - n)
+    c = [1] + [0] * (2 * g)
+    for m in range(1, g + 1):
+        s = psums[m] + sum(c[i] * psums[m - i] for i in range(1, m))
+        quot, rem = divmod(-s, m)
+        if rem:
+            raise ArithmeticError(
+                f"zeta numerator of z^2 = {f} has a non-integer coefficient; "
+                f"point counts are inconsistent"
+            )
+        c[m] = quot
+    for i in range(g):
+        c[2 * g - i] = q ** (g - i) * c[i]
+    return c
 
 
 def l_polynomial(f: Poly) -> list[int]:
@@ -191,23 +248,7 @@ def _l_polynomial(f: Poly, g: int) -> list[int]:
     """l_polynomial for a valid f of model genus g."""
     if g == 0:
         return [1]
-    q = f.field.q
-    psums = [0]  # index 0 unused
-    for m, n in enumerate(_place_point_counts(f, g), 1):
-        psums.append(q**m + 1 - n)
-    c = [1] + [0] * (2 * g)
-    for m in range(1, g + 1):
-        s = psums[m] + sum(c[i] * psums[m - i] for i in range(1, m))
-        quot, rem = divmod(-s, m)
-        if rem:
-            raise ArithmeticError(
-                f"zeta numerator of z^2 = {f} has a non-integer coefficient; "
-                f"point counts are inconsistent"
-            )
-        c[m] = quot
-    for i in range(g):
-        c[2 * g - i] = q ** (g - i) * c[i]
-    return c
+    return _l_polynomial_from_sums(f, g, *_generator_sums(f, g))
 
 
 def predicted_point_count(f: Poly, m: int) -> int:
@@ -322,3 +363,16 @@ def _class_number(info: QuadOrderInfo, cache: ClassNumberCache | None) -> int:
     if cache is not None:
         cache.put(a, h)
     return h
+
+
+def _class_number_from_sums(a: Poly, g: int, sums, units) -> int:
+    """Class number of the imaginary a = u * prod(Q_i), u a unit and g its
+    model genus, from the sums S_d, U_d of the monic part prod(Q_i).
+
+    (u/P) = chi(u)^(deg P), so S_d(a) = chi(u)^d S_d and U_d is unchanged:
+    f and kappa f share one set of sums.
+    """
+    if not a.field.is_square(a.leading):
+        sums = [-s if d % 2 else s for d, s in enumerate(sums)]
+    h = sum(_l_polynomial_from_sums(a, g, sums, units))
+    return 2 * h if a.degree % 2 == 0 else h

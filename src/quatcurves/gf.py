@@ -17,8 +17,9 @@ orderings, reported tables) reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 #: Refuse enumeration-based work in fields larger than this (desk scale).
 ENUMERATION_BOUND = 10**7
@@ -193,6 +194,29 @@ class ExtensionField(FiniteField):
         half = self._poly_pow(self._poly_mul(a, a), n // 2)
         return self._poly_mul(half, a) if n % 2 else half
 
+    def _powers(self, g: int):
+        """The codes of g^0, ..., g^(q-2), each power's coefficient vector
+        made from the previous one's, a, as a * g = sum of a_i (u^i g).
+
+        The vectors c u^i g are tabulated for every position i and base
+        element c, so a step is one coefficientwise sum: in plain integers
+        modulo p over a prime base, by base additions over any other.
+        """
+        base, m = self.base, self.m
+        rows = [self._coeffs(self._poly_mul(base.q**i, g)) for i in range(m)]
+        scaled = [[[base.mul(c, x) for x in row] for c in base.elements()] for row in rows]
+        prime = isinstance(base, PrimeField)
+        p, add = base.p, base.add
+        weights = [base.q**i for i in range(m)]
+        a = [base.one] + [base.zero] * (m - 1)
+        for _ in range(self.q - 1):
+            yield sum(map(operator.mul, a, weights))
+            columns = zip(*map(operator.getitem, scaled, a))
+            if prime:
+                a = [sum(column) % p for column in columns]
+            else:
+                a = [reduce(add, column) for column in columns]
+
     def _first_primitive(self) -> int:
         """First g with g^(q-1) = 1 and g^((q-1)/l) != 1 for each prime l | q-1.
         A nonzero g with g^(q-1) != 1 proves the quotient ring is no field,
@@ -210,11 +234,9 @@ class ExtensionField(FiniteField):
         n = self.q - 1
         exp = [0] * (2 * n)
         log = [0] * self.q
-        a = self.one
-        for k in range(n):
+        for k, a in enumerate(self._powers(g)):
             exp[k] = exp[k + n] = a
             log[a] = k
-            a = self._poly_mul(a, g)
         # 1 + a changes only the constant coefficient a % Q of a
         bq, badd, bone = self.base.q, self.base.add, self.base.one
         ones = [a - a % bq + badd(a % bq, bone) for a in exp[:n]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField
 from .gf import _poly_text, _prime_factors, _split_signed_terms
@@ -349,8 +349,14 @@ class Place:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
-    def __str__(self):
+    @cached_property
+    def _text(self) -> str:
         return str(self.generator)
+
+    def __str__(self):
+        """The generator's text, built on first use and kept; equality and
+        hashing stay on the generator alone."""
+        return self._text
 
 
 def iter_monic_polys(d: int, field: FiniteField):
@@ -379,6 +385,37 @@ def _places_of_degree(field: FiniteField, d: int) -> tuple[Place, ...]:
     """All places of degree d, canonical order, enumerated once per field and
     degree for the place sums behind class numbers."""
     return tuple(iter_monic_irreducibles(d, field))
+
+
+def _linear_symbols(a: Poly) -> list[int]:
+    """chi(a(c)) for every element c in order, by Horner: the symbols of a at
+    the degree-1 places T - c, 0 where a(c) = 0.  Odd characteristic."""
+    field = a.field
+    zero, add, mul, is_square = field.zero, field.add, field.mul, field.is_square
+    coeffs = a.coeffs[::-1]
+    out = []
+    for t in field.elements():
+        acc = zero
+        for c in coeffs:
+            acc = add(mul(acc, t), c)
+        out.append(0 if acc == zero else 1 if is_square(acc) else -1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _symbol_vector(place: Place, d: int) -> tuple[int, ...]:
+    """Residue symbols (Q/P) of the place's generator Q at every place P of
+    degree d, computed once per place and degree.
+
+    For d = 1 the entry at element c is the symbol at T - c; for d >= 2 the
+    entries follow _places_of_degree(field, d).  Every vector of one field
+    and degree is indexed alike, so by multiplicativity the coordinatewise
+    product of the vectors of distinct places is the vector of their product.
+    """
+    q_poly = place.generator
+    if d == 1:
+        return tuple(_linear_symbols(q_poly))
+    return tuple(_residue_symbol(q_poly, pl) for pl in _places_of_degree(q_poly.field, d))
 
 
 def monic_irreducibles(d: int, field: FiniteField) -> list[Place]:

@@ -7,6 +7,12 @@ abelian 2-group indexed by the nonempty divisors of the discriminant, which is
 represented here purely combinatorially, as subsets of R composing by
 symmetric difference.
 
+Fixed-point counts are sums of optimal-embedding counts h(a) prod (1 - (a/P))
+over the generators a = u * prod(Q_i) of a key, u = 1 or kappa.  They are
+computed from per-place symbol data rather than from each generator: one
+symbol of the key per place outside it, and class numbers from the memoised
+symbol vectors of the key's places, shared between f and kappa f.
+
 classify() runs the hyperellipticity decision procedure: a genus test, a scan
 for an involution with 2g+2 fixed points (the canonical involution of a
 hyperelliptic curve in odd characteristic), the even-degree criterion that the
@@ -21,7 +27,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import ClassNumberCache, QuadOrderInfo, _class_number, _order_info, quadratic_order_info
+from .curves import (
+    ClassNumberCache,
+    _class_number,
+    _class_number_from_sums,
+    _vector_sums,
+    quadratic_order_info,
+)
 from .gf import ExtensionField, FiniteField
 from .polyring import Place, Poly, _residue_symbol, iter_monic_irreducibles, monic_irreducibles
 
@@ -264,12 +276,6 @@ def embedding_count(a: Poly, ramset: RamSet, cache: ClassNumberCache | None = No
             f"embedding counts need an imaginary extension; F(sqrt({a})) "
             f"splits at infinity"
         )
-    return _embedding_count(info, ramset, cache)
-
-
-def _embedding_count(info: QuadOrderInfo, ramset: RamSet, cache: ClassNumberCache | None) -> int:
-    """embedding_count for the order data of a valid imaginary generator."""
-    a = info.generator
     product = 1
     for pl in ramset.places:
         product *= 1 - _residue_symbol(a, pl)
@@ -301,6 +307,14 @@ def fixed_point_count(
     With f the monic generator of the key and kappa a fixed non-square unit:
     embeddings of A[sqrt(kappa f)] when deg f is even, plus embeddings of
     A[sqrt(f)] as well when deg f is odd (both extensions are then imaginary).
+
+    The count is computed from per-place data, with the public
+    embedding_count as its oracle.  At a place P of the key the symbol of
+    u f is 0; outside the key it is chi(u)^(deg P) (f/P), the product of the
+    key places' symbols at P, computed once per key.  A class number is read
+    from the cache by generator text first; otherwise it comes from the sums
+    over the key places' memoised symbol vectors, computed at most once per
+    key for f and kappa f, and is put in the cache.
     """
     if key.is_identity:
         raise ValueError("the identity key carries no involution")
@@ -308,14 +322,32 @@ def fixed_point_count(
         raise ValueError("key places must belong to the ramification set")
     field = ramset.field
     kappa = _checked_kappa(field, kappa)
-    # f is a product of distinct monic irreducibles, so f and kappa f are
-    # squarefree by construction and their order data needs no gcd test.
-    # Both are imaginary: kappa f is inert at infinity when deg f is even,
-    # and f is only used when deg f is odd.
     f = key.generator()
-    total = _embedding_count(_order_info(f.scale(kappa)), ramset, cache)
+    outside = [
+        (pl.degree, _residue_symbol(f, pl)) for pl in ramset.places if pl not in key.places
+    ]
+    # f is a product of distinct monic irreducibles, so kappa f (inert at
+    # infinity when deg f is even) and f (ramified when deg f is odd) are
+    # squarefree imaginary generators by construction.
+    generators = [(f.scale(kappa), -1)]
     if f.degree % 2 == 1:
-        total += _embedding_count(_order_info(f), ramset, cache)
+        generators.append((f, 1))
+    g = (f.degree - 1) // 2
+    total, sums = 0, None
+    for a, chi in generators:
+        product = 1
+        for d, symbol in outside:
+            product *= 1 - chi**d * symbol
+        if product == 0:
+            continue
+        h = None if cache is None else cache.get(a)
+        if h is None:
+            if sums is None:
+                sums = _vector_sums(key.places, g)
+            h = _class_number_from_sums(a, g, *sums)
+            if cache is not None:
+                cache.put(a, h)
+        total += h * product
     return total
 
 

@@ -23,7 +23,7 @@ from quatcurves import (
 )
 from quatcurves import polyring
 from quatcurves.gf import _poly_list_mod
-from quatcurves.polyring import _residue_symbol, iter_monic_polys
+from quatcurves.polyring import _places_of_degree, _residue_symbol, _symbol_vector, iter_monic_polys
 
 from conftest import all_polys_up_to, euler_symbol, necklace_count
 
@@ -234,6 +234,17 @@ def test_place_equality_and_order(f3):
     assert sorted([a, c], key=Place.sort_key) == [c, a]
 
 
+def test_place_text_is_built_once(f3, monkeypatch):
+    a = Place(poly(f3, "T^2+1"))
+    assert str(a) == "T^2+1"
+    # a second call reuses the text instead of printing the generator again
+    monkeypatch.setattr(Poly, "__str__", lambda self: "rebuilt")
+    assert str(a) == "T^2+1"
+    # the kept text takes no part in equality or hashing
+    b = Place(poly(f3, "T^2+1"))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
+
 def test_place_rejects_bad_generators(f3):
     with pytest.raises(ValueError):
         Place(poly(f3, "T^2-1"))
@@ -318,6 +329,22 @@ def assert_symbols_match_tables(polys, places):
             continue
         for pl in places:
             assert _residue_symbol(a, pl) == tables[pl][(a % pl.generator).coeffs], (a, pl)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2)])
+def test_symbol_vectors_list_the_residue_symbols(p, e):
+    """Degree-1 entries are indexed by the root c of T - c, higher degrees by
+    the canonical place order, every entry the guarded residue_symbol."""
+    field = make_field(p, e)
+    t = Poly.variable(field)
+    linear = [Place(t - Poly.constant(field, c)) for c in field.elements()]
+    for q_deg in (1, 2):
+        for q_place in monic_irreducibles(q_deg, field):
+            q = q_place.generator
+            assert _symbol_vector(q_place, 1) == tuple(residue_symbol(q, pl) for pl in linear)
+            assert _symbol_vector(q_place, 2) == tuple(
+                residue_symbol(q, pl) for pl in _places_of_degree(field, 2)
+            )
 
 
 def test_symbol_matches_square_enumeration_smoke(f3):

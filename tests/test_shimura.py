@@ -1,15 +1,23 @@
 """Genus, bounds, embedding numbers, fixed points, and the classifier."""
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatcurves import (
+    BoundExceededError,
+    ClassNumberCache,
+    ENUMERATION_BOUND,
     InvolutionKey,
     RamSet,
     aut_equals_atkin_lehner,
     candidate_degree_multisets,
+    class_number,
     classify,
     classify_all,
     embedding_count,
@@ -23,8 +31,10 @@ from quatcurves import (
     minimal_place_outside,
     monic_irreducibles,
     odd_parity,
+    quadratic_order_info,
     supersingular_lower_bound,
 )
+from quatcurves import curves, polyring, shimura
 from quatcurves.shimura import (
     REASON_AUT_KNOWN_NO_CANDIDATE,
     REASON_CANONICAL_FOUND,
@@ -262,20 +272,103 @@ def test_kappa_outside_the_field_is_a_value_error(f3):
                 classify(r, kappa=bad)
 
 
+@functools.cache
+def _candidate_sets(p, e):
+    field = make_field(p, e)
+    return [r for d1, d2 in candidate_degree_multisets(field) for r in iter_ramsets(field, d1, d2)]
+
+
+def check_vector_route(r):
+    """fixed_point_count trusts its generators and takes class numbers from
+    place vectors: on every key of r, each class number it can use equals the
+    public generator-only class_number of u * prod(Q_i) for u in {1, kappa},
+    and the count equals the sum of the validated public embedding counts."""
+    kappa = r.field.nonsquare()
+    for key in r.keys():
+        f = key.generator()
+        g = (f.degree - 1) // 2
+        sums = curves._vector_sums(key.places, g)
+        for a in (f, f.scale(kappa)):
+            if quadratic_order_info(a).imaginary:
+                assert curves._class_number_from_sums(a, g, *sums) == class_number(a), str(a)
+        expected = embedding_count(f.scale(kappa), r)
+        if f.degree % 2 == 1:
+            expected += embedding_count(f, r)
+        assert fixed_point_count(r, key) == expected, (str(key), [str(pl) for pl in r.places])
+
+
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2)])
 def test_fixed_point_count_matches_validated_embedding_counts(p, e):
-    """fixed_point_count trusts its generators; the public embedding_count
-    re-validates each one and must give the same sum on every key."""
-    field = make_field(p, e)
-    kappa = field.nonsquare()
-    for d1, d2 in candidate_degree_multisets(field):
-        for r in iter_ramsets(field, d1, d2):
-            for key in r.keys():
-                f = key.generator()
-                expected = embedding_count(f.scale(kappa), r)
-                if f.degree % 2 == 1:
-                    expected += embedding_count(f, r)
-                assert fixed_point_count(r, key) == expected
+    for r in _candidate_sets(p, e):
+        check_vector_route(r)
+
+
+def test_vector_route_on_sampled_sets():
+    """Seeded samples of the F_25 candidate sets and of F_3 sets whose full
+    keys reach genus 2 to 4, where U_d meets places dividing the generator
+    (candidate sets stop at genus 1, which never reads U_d)."""
+    rng = random.Random(7)
+    sampled = rng.sample(_candidate_sets(5, 2), 150)
+    f3 = make_field(3)
+    for d1, d2 in ((1, 4), (2, 3), (2, 5), (2, 7), (3, 6), (4, 5)):
+        sets = list(iter_ramsets(f3, d1, d2))
+        sampled += rng.sample(sets, min(len(sets), 12))
+    for r in sampled:
+        check_vector_route(r)
+
+
+def test_fixed_point_count_fills_the_cache_then_reads_it_before_any_vector(monkeypatch):
+    f3 = make_field(3)
+    r = ramset(f3, "T^2+1", "T^7+T^2+2")  # full key of degree 9: genus 4
+    kappa = f3.nonsquare()
+    cache = ClassNumberCache()
+    counts = [fixed_point_count(r, key, cache=cache) for key in r.keys()]
+    full = r.keys()[-1].generator()
+    for a in (full, full.scale(kappa)):  # the full key's product is always 1
+        assert cache.get(a) == class_number(a)
+    stored = len(cache)
+
+    def no_vectors(places, g):
+        raise AssertionError("symbol vectors touched despite a cached class number")
+
+    monkeypatch.setattr(shimura, "_vector_sums", no_vectors)
+    assert [fixed_point_count(r, key, cache=cache) for key in r.keys()] == counts
+    assert len(cache) == stored
+
+
+def test_fixed_point_count_past_the_bound_enumerates_no_place(monkeypatch):
+    f3 = make_field(3)
+    r = ramset(f3, "T^15+2T^2+1", "T^16+T^4+2")  # full key of degree 31: genus 15
+    calls = []
+    real = polyring.is_irreducible
+    monkeypatch.setattr(polyring, "is_irreducible", lambda f: calls.append(f) or real(f))
+    polyring._places_of_degree.cache_clear()
+    polyring._symbol_vector.cache_clear()
+    with pytest.raises(BoundExceededError) as info:
+        fixed_point_count(r, r.keys()[-1])
+    assert str(info.value) == (
+        f"point count over a field of size {3**15} exceeds the enumeration bound "
+        f"{ENUMERATION_BOUND}"
+    )
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_classify_is_kappa_independent(data):
+    """Every non-square kappa gives the same report apart from its kappa
+    field, which exercises the twist signs away from the default kappa."""
+    p, e = data.draw(st.sampled_from([(5, 1), (7, 1), (3, 2)]))
+    r = data.draw(st.sampled_from(_candidate_sets(p, e)))
+    field = r.field
+    reports = []
+    for kappa in field.elements():
+        if kappa != field.zero and not field.is_square(kappa):
+            report = classify(r, kappa=kappa).to_dict()
+            assert report.pop("kappa") == field.element_str(kappa)
+            reports.append(report)
+    assert len(reports) == (field.q - 1) // 2
+    assert all(report == reports[0] for report in reports)
 
 
 def test_fixed_points_satisfy_involution_parity():

@@ -165,8 +165,11 @@ class ExtensionField(FiniteField):
         self.zero = 0
         self.one = 1
         self._nonsquare = None
+        self._hash = hash(("ext", base, modulus))
         self._check_enumerable()
         self._build_tables(self._first_primitive())
+        # the class of u; it is a base constant when the modulus is linear
+        self._u = self._from_coeffs(_poly_list_mod(base, [0, 1], list(modulus)))
 
     # -- construction: coefficient arithmetic, used only to fill the tables
 
@@ -299,8 +302,6 @@ class ExtensionField(FiniteField):
         text = text.strip().replace(" ", "")
         if not text:
             raise ValueError("empty element text")
-        # the class of u; it is a base constant when the modulus is linear
-        u = self._from_coeffs(_poly_list_mod(self.base, [0, 1], list(self.modulus)))
         value = self.zero
         for sign, term in _split_signed_terms(text):
             match = self._TERM_RE.fullmatch(term)
@@ -308,18 +309,18 @@ class ExtensionField(FiniteField):
                 raise ValueError(f"cannot parse element term {term!r}")
             c = self.from_int(sign * int(match.group("coef") or 1))
             exp = int(match.group("exp") or 1) if match.group("var") else 0
-            value = self.add(value, self.mul(c, self.pow(u, exp)))
+            value = self.add(value, self.mul(c, self.pow(self._u, exp)))
         return value
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ExtensionField)
             and other.base == self.base
             and other.modulus == self.modulus
         )
 
     def __hash__(self):
-        return hash(("ext", self.base, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -13,12 +13,13 @@ and is only ever used through arithmetic modulo f_x.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
-from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField
-from .gf import _poly_text, _prime_factors, _split_signed_terms
+from .gf import ENUMERATION_BOUND, BoundExceededError, FiniteField, PrimeField
+from .gf import _poly_list_mod, _poly_text, _prime_factors, _split_signed_terms
 
 
 class Poly:
@@ -270,33 +271,55 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a if a.is_zero else a.monic()
 
 
-def _pow_mod(base: Poly, n: int, modulus: Poly) -> Poly:
-    result = Poly.one(base.field) % modulus
-    base = base % modulus
-    while n:
-        if n & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        n >>= 1
-    return result
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's criterion: T^(q^d) = T mod f, and gcd(T^(q^(d/l)) - T, f) = 1
-    for every prime l dividing d = deg f."""
+    for every prime l dividing d = deg f.
+
+    The powers T^(q^k) mod f come from the Frobenius matrix (Berlekamp's
+    Q-matrix) on coefficient lists: its rows are T^(iq) = r^i mod f for
+    i < d, with r = T^q mod f by square-and-multiply, and since a -> a^q is
+    F_q-linear, T^(q^(k+1)) is the combination of those rows whose
+    coefficients are those of T^(q^k).
+    """
     if f.degree < 1:
         raise ValueError("irreducibility needs a nonconstant polynomial")
     f = f.monic()
-    field = f.field
-    d, q = f.degree, field.q
-    t = Poly.variable(field) % f
-    frob = [t]  # frob[k] = T^(q^k) mod f
+    field, d = f.field, f.degree
+    if d == 1:
+        return True  # c^q = c, so T^q = T mod T - c
+    zero, one, add, mul = field.zero, field.one, field.add, field.mul
+    mod = list(f.coeffs)
+
+    def mul_mod(a, b):
+        prod = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+        return _poly_list_mod(field, prod, mod)
+
+    r = [zero, one]  # T^q mod f, from the leading bit of q down
+    for bit in bin(field.q)[3:]:
+        r = mul_mod(r, r)
+        if bit == "1":
+            r = _poly_list_mod(field, [zero] + r, mod)
+    rows = [[one]]
+    for _ in range(d - 1):
+        rows.append(mul_mod(rows[-1], r))
+    columns = list(zip(*(row + [zero] * (d - len(row)) for row in rows)))
+    t = [zero, one] + [zero] * (d - 2)
+    frob = [t]  # frob[k] = T^(q^k) mod f, padded to d coefficients
+    p = field.p if isinstance(field, PrimeField) else 0
     for _ in range(d):
-        frob.append(_pow_mod(frob[-1], q, f))
+        a = frob[-1]
+        if p:  # plain integers, one reduction per coefficient
+            frob.append([sum(map(operator.mul, a, col)) % p for col in columns])
+        else:
+            frob.append([reduce(add, map(mul, a, col)) for col in columns])
     if frob[d] != t:
         return False
     for ell in _prime_factors(d):
-        if poly_gcd(frob[d // ell] - t, f).degree != 0:
+        if poly_gcd(Poly(field, frob[d // ell]) - Poly.variable(field), f).degree != 0:
             return False
     return True
 

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from quatcurves import Place, Poly, make_field, parse_poly, point_count, quadratic_order_info
-from quatcurves.polyring import _pow_mod
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +60,18 @@ def all_polys_up_to(field, max_degree):
             if coeffs[-1] == field.zero:
                 continue
             yield Poly(field, coeffs)
+
+
+def _pow_mod(base, n, modulus):
+    """base^n mod modulus by square-and-multiply on Poly."""
+    result = Poly.one(base.field) % modulus
+    base = base % modulus
+    while n:
+        if n & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        n >>= 1
+    return result
 
 
 def euler_symbol(a, place):

@@ -8,11 +8,15 @@ import pytest
 from quatcurves import (
     ENUMERATION_BOUND,
     BoundExceededError,
+    Place,
     Poly,
     extend_field,
     make_field,
+    monic_irreducibles,
+    parse_poly,
 )
 from quatcurves.gf import ExtensionField, PrimeField, _first_irreducible
+from quatcurves.polyring import _symbol_vector
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +342,26 @@ def test_enumeration_bound_enforced():
 def test_extend_field_matches_make_field_over_prime():
     assert extend_field(make_field(3), 2) == make_field(3, 2)
     assert extend_field(make_field(3), 1) == make_field(3)
+
+
+def test_separately_built_extension_equals_the_shared_field():
+    f25 = make_field(5, 2)
+    twin = ExtensionField(PrimeField(5), f25.modulus)
+    assert twin is not f25
+    assert twin == f25 and f25 == twin and hash(twin) == hash(f25)
+    assert twin != ExtensionField(PrimeField(5), (3, 0, 1))  # u^2+3, also irreducible
+    # polynomials over either object mix, and compare and hash alike
+    a = parse_poly("T^2+uT+2", f25)
+    b = Poly(twin, a.coeffs)
+    assert a == b and hash(a) == hash(b)
+    assert (a * b) % b == Poly.zero(f25) and a + b == a.scale(2)
+    # the symbol-vector memo finds the entry of the shared field's place
+    place = monic_irreducibles(2, f25)[3]
+    twin_place = Place(Poly(twin, place.generator.coeffs))
+    expected = _symbol_vector(place, 1)
+    hits = _symbol_vector.cache_info().hits
+    assert _symbol_vector(twin_place, 1) == expected
+    assert _symbol_vector.cache_info().hits == hits + 1
 
 
 def test_tower_extension_of_f9():

@@ -25,7 +25,7 @@ from quatcurves import polyring
 from quatcurves.gf import _poly_list_mod
 from quatcurves.polyring import _places_of_degree, _residue_symbol, _symbol_vector, iter_monic_polys
 
-from conftest import all_polys_up_to, euler_symbol, necklace_count
+from conftest import _pow_mod, all_polys_up_to, euler_symbol, necklace_count
 
 
 def poly(field, text):
@@ -169,17 +169,28 @@ def test_irreducible_examples(f3):
     assert is_irreducible(poly(f3, "T^2+1"))
     assert is_irreducible(poly(f3, "T^3-T+1"))
     assert not is_irreducible(poly(f3, "T^2-1"))
+    # non-monic input: the verdict of its monic associate
+    assert is_irreducible(poly(f3, "2T^2+2"))
+    assert not is_irreducible(poly(f3, "2T^2-2"))
+    # (T^2+1)(T^2+T+2) splits into two degree-2 places, so T^(3^4) = T mod f
+    # and only the gcd with T^(3^2) - T rejects it
+    f = poly(f3, "T^2+1") * poly(f3, "T^2+T+2")
+    t = Poly.variable(f3)
+    assert _pow_mod(t, 3**4, f) == t and not is_irreducible(f)
     with pytest.raises(ValueError):
         is_irreducible(Poly.one(f3))
 
 
 def test_irreducibility_matches_trial_division():
-    f3, f5 = make_field(3), make_field(5)
-    for f in iter_monic_polys(4, f3):
-        assert is_irreducible(f) == trial_division_irreducible(f)
+    for field, max_degree in ((make_field(2), 8), (make_field(3), 5), (make_field(2, 2), 3),
+                              (make_field(3, 2), 3), (make_field(5, 2), 2)):
+        unit = field.q - 1  # the last element; a non-monic scale where q > 2
+        for d in range(1, max_degree + 1):
+            for f in iter_monic_polys(d, field):
+                verdict = trial_division_irreducible(f)
+                assert is_irreducible(f) == verdict == is_irreducible(f.scale(unit))
+    f5 = make_field(5)
     for d in (2, 3):
-        for f in iter_monic_polys(d, f3):
-            assert is_irreducible(f) == trial_division_irreducible(f)
         for f in itertools.islice(iter_monic_polys(d, f5), 60):
             assert is_irreducible(f) == trial_division_irreducible(f)
 
